@@ -58,12 +58,6 @@ pub enum DiagCode {
     /// hard-wiring an implementation bypasses both the policy and the
     /// sharding layer.
     BackendBypass,
-    /// `AD0113`: production code calls the deprecated positional
-    /// `encode_condition(item, caption_g, g_prime)` shim instead of
-    /// building a typed `TaskSpec` and calling `encode_task`. The shim
-    /// exists for one release to let external callers migrate; inside
-    /// the workspace every caller must be on the task API.
-    DeprecatedConditionApi,
     /// `AD0200`: two lock acquisitions form a cycle in the workspace's
     /// lock-order graph — function A holds lock X while taking Y, and
     /// some path (possibly through calls) holds Y while taking X. Two
@@ -105,7 +99,6 @@ impl DiagCode {
             DiagCode::SerialKernelBypass => "AD0110",
             DiagCode::PanickingKernelCall => "AD0111",
             DiagCode::BackendBypass => "AD0112",
-            DiagCode::DeprecatedConditionApi => "AD0113",
             DiagCode::LockOrderCycle => "AD0200",
             DiagCode::AtomicOrderingAudit => "AD0201",
             DiagCode::NondeterministicPath => "AD0202",
@@ -132,9 +125,6 @@ impl DiagCode {
             DiagCode::BackendBypass => {
                 "concrete compute backend hard-wired outside the tensor crate"
             }
-            DiagCode::DeprecatedConditionApi => {
-                "deprecated encode_condition shim called instead of the task API"
-            }
             DiagCode::LockOrderCycle => "lock acquisition order forms a cycle",
             DiagCode::AtomicOrderingAudit => "unaudited relaxed atomic ordering",
             DiagCode::NondeterministicPath => {
@@ -158,7 +148,6 @@ impl DiagCode {
             | DiagCode::SerialKernelBypass
             | DiagCode::PanickingKernelCall
             | DiagCode::BackendBypass
-            | DiagCode::DeprecatedConditionApi
             | DiagCode::LockOrderCycle
             | DiagCode::PanicInWorker => Severity::Error,
             DiagCode::DetachedSubgraph
@@ -319,7 +308,6 @@ mod tests {
             DiagCode::SerialKernelBypass,
             DiagCode::PanickingKernelCall,
             DiagCode::BackendBypass,
-            DiagCode::DeprecatedConditionApi,
             DiagCode::LockOrderCycle,
             DiagCode::AtomicOrderingAudit,
             DiagCode::NondeterministicPath,

@@ -23,10 +23,6 @@
 //!   `TensorError`; long-lived serving code (`aero-serve` and the core
 //!   pipeline crate) must use those so a malformed request surfaces as
 //!   a typed reply instead of killing a worker thread.
-//! - **Deprecated condition-API callers** ([`AD0113`]). The positional
-//!   `encode_condition(item, caption_g, g_prime)` shim only exists so
-//!   external callers can migrate to `TaskSpec` + `encode_task`;
-//!   workspace code calling it (outside the defining file) is flagged.
 //! - **Atomic ordering audit** ([`AD0201`]). `Ordering::Relaxed` in a
 //!   read-modify-write call, or relaxed stores publishing several
 //!   fields from one function, must carry a
@@ -43,12 +39,11 @@
 //!   worker thread instead of producing a typed reply.
 //!
 //! The lock-order cycle pass ([`AD0200`]) builds on the same walker but
-//! lives in [`crate::lockorder`]; [`lint_source_all`] runs all eight.
+//! lives in [`crate::lockorder`]; [`lint_source_all`] runs all seven.
 //!
 //! [`AD0110`]: crate::DiagCode::SerialKernelBypass
 //! [`AD0111`]: crate::DiagCode::PanickingKernelCall
 //! [`AD0112`]: crate::DiagCode::BackendBypass
-//! [`AD0113`]: crate::DiagCode::DeprecatedConditionApi
 //! [`AD0200`]: crate::DiagCode::LockOrderCycle
 //! [`AD0201`]: crate::DiagCode::AtomicOrderingAudit
 //! [`AD0202`]: crate::DiagCode::NondeterministicPath
@@ -312,41 +307,6 @@ pub fn lint_panicking_callsites(root: &Path) -> Report {
                         "`{name}` panics on shape mismatch; serving paths must call \
                          `try_{name}` and turn the error into a typed reply"
                     ),
-                );
-            }
-        }
-    }
-    report
-}
-
-/// Scans the workspace for call sites of the deprecated positional
-/// `encode_condition(item, caption_g, g_prime)` shim, reporting each as
-/// `AD0113`. The shim survives one release so external callers can
-/// migrate to `TaskSpec` + `encode_task`; workspace code must already be
-/// on the task API. The defining file (`crates/core/src/pipeline.rs`,
-/// which hosts the shim's own forwarding body) plus the usual exempt
-/// trees are skipped, and the scan looks for `.encode_condition(` as
-/// adjacent code tokens so docs and strings never match.
-#[must_use]
-pub fn lint_deprecated_condition_api(root: &Path) -> Report {
-    let mut report = Report::new();
-    for file in &load_workspace(root) {
-        if file.crate_name == "core" && file.file_name() == "pipeline.rs" {
-            continue;
-        }
-        let code = code(file);
-        for w in code.windows(3) {
-            let [a, b, c] = [w[0], w[1], w[2]];
-            if file.text(a) == "."
-                && file.tokens[b].kind == TokenKind::Ident
-                && file.text(b) == "encode_condition"
-                && file.text(c) == "("
-            {
-                report.push(
-                    DiagCode::DeprecatedConditionApi,
-                    file.site(file.tokens[b].line),
-                    "`encode_condition` is a deprecated migration shim; build a `TaskSpec` \
-                     (e.g. `TaskSpec::text`) and call `encode_task` instead",
                 );
             }
         }
@@ -687,8 +647,8 @@ pub(crate) fn match_paren(file: &SourceFile, code: &[usize], open: usize) -> Opt
     None
 }
 
-/// Runs every source-level pass — AD0110, AD0111, AD0112, AD0113,
-/// AD0200 (lock order), AD0201, AD0202, AD0203 — over the workspace
+/// Runs every source-level pass — AD0110, AD0111, AD0112, AD0200
+/// (lock order), AD0201, AD0202, AD0203 — over the workspace
 /// rooted at `root` and merges the findings into one report.
 #[must_use]
 pub fn lint_source_all(root: &Path) -> Report {
@@ -696,7 +656,6 @@ pub fn lint_source_all(root: &Path) -> Report {
     report.merge(lint_kernel_callsites(root));
     report.merge(lint_backend_callsites(root));
     report.merge(lint_panicking_callsites(root));
-    report.merge(lint_deprecated_condition_api(root));
     report.merge(crate::lockorder::lint_lock_order(root));
     report.merge(lint_atomic_orderings(root));
     report.merge(lint_nondeterminism(root));
@@ -832,47 +791,6 @@ mod tests {
         let site = &report.diagnostics()[0].site;
         assert!(site.contains("worker.rs:2"), "unexpected site {site}");
         let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn flags_deprecated_condition_shim_callers_outside_the_defining_file() {
-        let root = std::env::temp_dir().join("aero_deprecated_cond_fixture");
-        let _ = fs::remove_dir_all(&root);
-        // The defining file hosts the shim's own forwarding body: exempt.
-        write(
-            &root.join("crates/core/src/pipeline.rs"),
-            "pub fn encode_condition(&self) -> Tensor {\n    \
-             self.encode_task(&TaskSpec::text(item, g, gp))\n}\n",
-        );
-        // A production caller anywhere else is flagged once per call.
-        write(
-            &root.join("crates/serve/src/runtime.rs"),
-            "fn prep(p: &Pipeline) -> Tensor {\n    p.encode_condition(&item, &g, &gp)\n}\n\
-             // .encode_condition( in a comment never matches\n\
-             const DOC: &str = \".encode_condition(\";\n",
-        );
-        // Test modules exercise the shim deliberately; the tokenizer
-        // truncates them away.
-        write(
-            &root.join("crates/core/src/other.rs"),
-            "fn ok() {}\n#[cfg(test)]\nmod tests {\n    \
-             fn t(p: &Pipeline) { p.encode_condition(&i, &a, &b); }\n}\n",
-        );
-        let report = lint_deprecated_condition_api(&root);
-        assert_eq!(report.error_count(), 1, "{}", report.render());
-        assert!(report.has_code(DiagCode::DeprecatedConditionApi));
-        let site = &report.diagnostics()[0].site;
-        assert!(site.contains("runtime.rs:2"), "unexpected site {site}");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn this_workspace_is_off_the_deprecated_condition_shim() {
-        // AD0113 on the real tree: every workspace caller migrated to
-        // `TaskSpec` + `encode_task`; only the shim's definition remains.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let report = lint_deprecated_condition_api(&root);
-        assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]

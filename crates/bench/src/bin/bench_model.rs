@@ -1,27 +1,27 @@
-//! Model-artifact benchmark: f32 vs q8 single-file artifacts against the
-//! multi-file directory loader.
+//! Model-artifact benchmark: f32 vs q8 `.amdl` artifacts.
 //!
 //! One smoke pipeline is trained once, then measured along three axes:
 //!
-//! - **size** — the f32 and q8 `.amdl` artifacts versus the directory
-//!   save, plus the q8/f32 payload ratio the quantizer achieves on the
-//!   real model;
+//! - **size** — the f32 and q8 artifacts, plus the q8/f32 payload ratio
+//!   the quantizer achieves on the real model;
 //! - **cold-start** — time from bytes-on-disk to a hydrated pipeline:
-//!   artifact read (CRC + mmap) + snapshot hydration, versus
-//!   [`AeroDiffusionPipeline::load`] over the directory format;
+//!   artifact read (CRC + mmap) + snapshot hydration;
 //! - **fidelity** — the q8 per-layer quantization-error envelope, and a
 //!   byte-compare proving the f32 artifact round trip is lossless
-//!   end-to-end (same sample bytes as the directory loader).
+//!   end-to-end (same sample bytes as the in-memory pipeline and as
+//!   [`AeroDiffusionPipeline::load`] of the saved pipeline, whose file
+//!   is the f32 artifact byte for byte).
 //!
 //! `BENCH_MODEL_SMOKE=1` drops the repetition count so CI can use this as
 //! a liveness gate; the invariants (q8 smaller than f32, f32 byte-lossless,
 //! every load path producing the same image) are asserted at every scale.
 //! Writes `BENCH_model.json` to the working directory.
 
-use aero_model::{snapshot_from_artifact, write_snapshot, ModelArtifact, Quantization};
+use aero_model::write_snapshot;
+use aero_nn::amdl::{DType, ModelArtifact};
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
 use aero_serve::Json;
-use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig};
+use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -39,13 +39,6 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-fn dir_size(dir: &Path) -> u64 {
-    std::fs::read_dir(dir)
-        .expect("read model dir")
-        .map(|e| e.expect("dir entry").metadata().expect("metadata").len())
-        .sum()
 }
 
 fn sample_image(pipeline: &AeroDiffusionPipeline) -> aero_scene::Image {
@@ -80,13 +73,16 @@ fn main() {
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("create bench workdir");
     let model_dir = work.join("model");
-    pipeline.save(&model_dir).expect("directory save");
+    pipeline.save(&model_dir).expect("pipeline save");
     let f32_path = work.join("model-f32.amdl");
     let q8_path = work.join("model-q8.amdl");
-    let f32_report = write_snapshot(&snapshot, Quantization::F32, &f32_path).expect("f32 export");
-    let q8_report = write_snapshot(&snapshot, Quantization::Q8, &q8_path).expect("q8 export");
-
-    let dir_bytes = dir_size(&model_dir);
+    let f32_report = write_snapshot(&snapshot, DType::F32, &f32_path).expect("f32 export");
+    let q8_report = write_snapshot(&snapshot, DType::Q8, &q8_path).expect("q8 export");
+    assert_eq!(
+        std::fs::read(model_dir.join(aerodiffusion::PIPELINE_FILE)).expect("saved pipeline"),
+        std::fs::read(&f32_path).expect("f32 artifact"),
+        "a saved pipeline must be the f32 artifact byte for byte"
+    );
     assert!(
         q8_report.artifact_bytes < f32_report.artifact_bytes,
         "q8 artifact must be smaller than f32 ({} vs {})",
@@ -97,7 +93,7 @@ fn main() {
     // Cold-start: bytes on disk → a hydrated, sample-ready pipeline.
     let hydrate = |path: &Path| {
         let artifact = ModelArtifact::read(path).expect("artifact read");
-        let snap = snapshot_from_artifact(&artifact).expect("snapshot from artifact");
+        let snap = PipelineSnapshot::from_artifact(&artifact).expect("snapshot from artifact");
         snap.hydrate().expect("hydrate")
     };
     let f32_cold = median_secs(reps, || {
@@ -105,10 +101,6 @@ fn main() {
     });
     let q8_cold = median_secs(reps, || {
         let _ = hydrate(&q8_path);
-    });
-    let dir_cold = median_secs(reps, || {
-        let _ = AeroDiffusionPipeline::load(&model_dir, PipelineConfig::smoke())
-            .expect("directory load");
     });
     // Load-only (CRC verify + mmap + header decode, no hydration): the
     // part the artifact format itself is responsible for.
@@ -123,10 +115,10 @@ fn main() {
     // must be byte-lossless end to end.
     let from_f32 = sample_image(&hydrate(&f32_path));
     assert_eq!(from_f32, reference, "f32 artifact sample must be byte-identical");
-    let from_dir = sample_image(
-        &AeroDiffusionPipeline::load(&model_dir, PipelineConfig::smoke()).expect("directory load"),
+    let from_saved = sample_image(
+        &AeroDiffusionPipeline::load(&model_dir, PipelineConfig::smoke()).expect("pipeline load"),
     );
-    assert_eq!(from_dir, reference, "directory-loader sample must be byte-identical");
+    assert_eq!(from_saved, reference, "saved-pipeline sample must be byte-identical");
     let q8_sample = sample_image(&hydrate(&q8_path));
     assert_eq!(
         (q8_sample.width(), q8_sample.height()),
@@ -136,7 +128,6 @@ fn main() {
 
     let ratio = q8_report.artifact_bytes as f64 / f32_report.artifact_bytes as f64;
     println!("{:>14} {:>12} {:>14} {:>14}", "path", "bytes", "load ms", "cold-start ms");
-    println!("{:>14} {:>12} {:>14} {:>14.2}", "dir", dir_bytes, "-", dir_cold * 1e3);
     println!(
         "{:>14} {:>12} {:>14.2} {:>14.2}",
         "f32.amdl",
@@ -162,7 +153,6 @@ fn main() {
         ("bench", "model".into()),
         ("smoke", smoke.into()),
         ("reps", reps.into()),
-        ("dir_bytes", dir_bytes.into()),
         ("f32_bytes", f32_report.artifact_bytes.into()),
         ("q8_bytes", q8_report.artifact_bytes.into()),
         ("q8_over_f32", ratio.into()),
@@ -173,7 +163,6 @@ fn main() {
         ("q8_load_ms", (q8_load * 1e3).into()),
         ("f32_cold_start_ms", (f32_cold * 1e3).into()),
         ("q8_cold_start_ms", (q8_cold * 1e3).into()),
-        ("dir_cold_start_ms", (dir_cold * 1e3).into()),
         ("f32_sample_lossless", true.into()),
     ]);
     std::fs::write("BENCH_model.json", format!("{}\n", json.render()))

@@ -13,8 +13,8 @@ use crate::config::PipelineConfig;
 use aero_analysis::{PipelineShapeDesc, Report, ShapeCtx};
 
 pub use aero_analysis::{
-    lint_backend_callsites, lint_deprecated_condition_api, lint_kernel_callsites,
-    lint_panicking_callsites, lint_source_all, Baseline, BaselineDiff,
+    lint_backend_callsites, lint_kernel_callsites, lint_panicking_callsites, lint_source_all,
+    Baseline, BaselineDiff,
 };
 use aero_diffusion::UnetConfig;
 use aero_vision::vae::LATENT_CHANNELS;
@@ -49,15 +49,17 @@ pub fn lint_config(config: &PipelineConfig) -> Report {
     ctx.into_report()
 }
 
-/// Self-checks the checkpoint/persistence integrity machinery: the CRC32
-/// implementation against the IEEE 802.3 check vector, the manifest text
-/// round-trip, and rejection of unsupported manifest versions. A build
-/// whose integrity primitives are broken would silently accept corrupt
-/// checkpoints, so `lint --all` verifies them up front.
+/// Self-checks the persistence integrity machinery: the CRC32
+/// implementation against the IEEE 802.3 check vector, an `.amdl`
+/// round trip, and rejection of a truncated artifact and of an
+/// unsupported format version. A build whose integrity primitives are
+/// broken would silently accept corrupt checkpoints, so `lint --all`
+/// verifies them up front.
 #[must_use]
 pub fn lint_checkpoint() -> Report {
     use aero_analysis::DiagCode;
-    use aero_nn::integrity::{crc32, IntegrityError, Manifest, ManifestEntry, MANIFEST_VERSION};
+    use aero_nn::amdl::{ArtifactBuilder, ModelArtifact, PersistError};
+    use aero_nn::integrity::crc32;
     let mut ctx = ShapeCtx::new();
     ctx.scoped("checkpoint", |ctx| {
         ctx.require(
@@ -66,27 +68,38 @@ pub fn lint_checkpoint() -> Report {
             "crc32 must match the IEEE 802.3 check vector 0xCBF43926",
         );
         ctx.require(crc32(b"") == 0, DiagCode::InvalidConfig, "crc32 of empty input must be 0");
-        let manifest = Manifest {
-            version: MANIFEST_VERSION,
-            entries: vec![ManifestEntry { name: "unet.aero".into(), crc32: 0xDEAD_BEEF, len: 42 }],
-        };
+        let mut builder = ArtifactBuilder::new();
+        builder.set("step", "42");
+        builder.add_f32("param.0", &aero_tensor::Tensor::ones(&[3]));
+        let bytes = builder.to_bytes();
         ctx.require(
-            matches!(Manifest::parse(&manifest.render()), Ok(m) if m == manifest),
+            ModelArtifact::from_bytes(bytes.clone()).is_ok_and(|a| {
+                a.value("step") == Some("42")
+                    && a.tensor("param.0").is_ok_and(|t| t.as_slice() == [1.0; 3])
+            }),
             DiagCode::InvalidConfig,
-            "manifest text form must round-trip losslessly",
+            "an artifact must round-trip its metadata and tensors losslessly",
         );
         ctx.require(
             matches!(
-                Manifest::parse("version=999\n"),
-                Err(IntegrityError::VersionMismatch { found: 999, .. })
+                ModelArtifact::from_bytes(bytes[..bytes.len() - 1].to_vec()),
+                Err(PersistError::Corrupt { .. })
             ),
             DiagCode::InvalidConfig,
-            "unsupported manifest versions must be rejected as VersionMismatch",
+            "a truncated artifact must be rejected as Corrupt",
         );
+        let mut future = bytes;
+        future[4..8].copy_from_slice(&999u32.to_le_bytes());
+        let end = future.len() - 4;
+        let crc = crc32(&future[..end]);
+        future[end..].copy_from_slice(&crc.to_le_bytes());
         ctx.require(
-            matches!(Manifest::parse("version=1\nbadline"), Err(IntegrityError::Malformed(_))),
+            matches!(
+                ModelArtifact::from_bytes(future),
+                Err(PersistError::VersionMismatch { found: 999, .. })
+            ),
             DiagCode::InvalidConfig,
-            "truncated manifest entries must be rejected as Malformed",
+            "unsupported format versions must be rejected as VersionMismatch",
         );
     });
     ctx.into_report()

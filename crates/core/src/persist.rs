@@ -1,169 +1,45 @@
 //! Persistence of trained pipelines.
 //!
-//! A trained [`AeroDiffusionPipeline`](crate::pipeline::AeroDiffusionPipeline)
-//! is written as a directory:
+//! A trained [`AeroDiffusionPipeline`] is written as one `.amdl`
+//! artifact (see [`aero_nn::amdl`]), `<dir>/pipeline.amdl`. The
+//! key/value section carries the exact configuration (bit-pattern
+//! `key=value` codec), the metadata, the vocabulary and the thread
+//! policy; every module's weights are tensors named `<module>.<index>`
+//! in [`MODULE_NAMES`] order. The same layout, stored dense or q8, is
+//! what `aero-model` exports and what a serving registry holds, so a
+//! saved pipeline *is* an `f32` model artifact.
 //!
-//! ```text
-//! <dir>/
-//!   vocab.txt        one vocabulary word per line (ids are line order)
-//!   meta.txt         key=value lines: max_len, latent_scale, provider, variant
-//!   clip.aero        CLIP weights        (aero-nn binary weight format)
-//!   vae.aero         VAE weights
-//!   detector.aero    YOLO-lite weights
-//!   condition.aero   condition-network weights
-//!   unet.aero        UNet weights
-//! ```
-//!
-//! Loading reconstructs the models from a [`PipelineConfig`] and the
-//! stored vocabulary, then restores every weight tensor; the config must
-//! match the one the pipeline was trained with.
-//!
-//! Every file is written atomically (tmp + rename) and the directory
-//! carries a `manifest.txt` recording a format version plus the CRC32
-//! and length of each blob. Loads verify the manifest *before* decoding
-//! anything, so a bit flip surfaces as [`PersistError::Corrupt`] naming
-//! the damaged file rather than as a garbage model. Directories written
-//! before manifests existed (no `manifest.txt`) still load.
+//! The artifact is written atomically (tmp + rename) and its trailing
+//! CRC32 is verified before anything is decoded, so a bit flip surfaces
+//! as [`PersistError::Corrupt`] rather than as a garbage model.
 
 use crate::ablation::AblationVariant;
 use crate::config::PipelineConfig;
-use aero_nn::integrity::{write_atomic, IntegrityError, Manifest};
-use aero_nn::serialize::{encode_params, load_params, LoadWeightsError};
+use crate::pipeline::AeroDiffusionPipeline;
+use crate::snapshot::{PipelineSnapshot, MODULE_NAMES};
+use aero_nn::amdl::{ArtifactBuilder, DType, ModelArtifact};
+use aero_tensor::parallel::ParallelConfig;
+use aero_tensor::{Q8Tensor, Tensor};
 use aero_text::llm::LlmProvider;
-use aero_text::tokenizer::{Tokenizer, Vocabulary};
-use std::error::Error;
-use std::fmt;
-use std::fs;
+use aero_text::tokenizer::Vocabulary;
 use std::path::Path;
 
-/// The on-disk pipeline format version, shared by every persistence
-/// layer: the directory manifest (`manifest.txt`), and the single-file
-/// model artifact header in `aero-model`. Keeping one typed constant
-/// means the two layers cannot silently diverge — bump it here and both
-/// readers reject the other's future files with a typed
-/// [`PersistError::VersionMismatch`].
-pub const PIPELINE_FORMAT_VERSION: u32 = aero_nn::integrity::MANIFEST_VERSION;
+pub use aero_nn::amdl::PersistError;
 
-/// Every file a pipeline directory contains, in manifest order.
-pub(crate) const PIPELINE_FILES: [&str; 8] = [
-    "vocab.txt",
-    "meta.txt",
-    "config.txt",
-    "clip.aero",
-    "vae.aero",
-    "detector.aero",
-    "condition.aero",
-    "unet.aero",
-];
+/// The file a pipeline directory holds.
+pub const PIPELINE_FILE: &str = "pipeline.amdl";
 
-/// Error loading or saving a pipeline directory.
-#[derive(Debug)]
-pub enum PersistError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// A weight blob failed to decode or mismatch the models.
-    Weights(LoadWeightsError),
-    /// The metadata file is malformed.
-    Meta(String),
-    /// A stored blob fails its manifest checksum or length.
-    Corrupt {
-        /// The file that failed verification.
-        file: String,
-        /// What exactly mismatched.
-        detail: String,
-    },
-    /// The directory was written by an unsupported format version.
-    VersionMismatch {
-        /// The version recorded on disk.
-        found: u32,
-        /// The version this build supports.
-        supported: u32,
-    },
-}
+const KEY_QUANT: &str = "aero.quantization";
+const KEY_CONFIG: &str = "aero.config";
+const KEY_MAX_LEN: &str = "aero.meta.max_len";
+const KEY_LATENT_SCALE: &str = "aero.meta.latent_scale";
+const KEY_PROVIDER: &str = "aero.meta.provider";
+const KEY_VARIANT: &str = "aero.meta.variant";
+const KEY_THREADS: &str = "aero.parallel.threads";
+const KEY_VOCAB: &str = "aero.vocab";
 
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::Io(e) => write!(f, "i/o failure: {e}"),
-            PersistError::Weights(e) => write!(f, "weight failure: {e}"),
-            PersistError::Meta(d) => write!(f, "malformed metadata: {d}"),
-            PersistError::Corrupt { file, detail } => {
-                write!(f, "corrupt pipeline file {file}: {detail}")
-            }
-            PersistError::VersionMismatch { found, supported } => {
-                write!(
-                    f,
-                    "pipeline format version {found} unsupported (this build reads {supported})"
-                )
-            }
-        }
-    }
-}
-
-impl Error for PersistError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            PersistError::Io(e) => Some(e),
-            PersistError::Weights(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
-
-impl From<LoadWeightsError> for PersistError {
-    fn from(e: LoadWeightsError) -> Self {
-        PersistError::Weights(e)
-    }
-}
-
-impl From<aero_diffusion::CheckpointError> for PersistError {
-    fn from(e: aero_diffusion::CheckpointError) -> Self {
-        use aero_diffusion::CheckpointError;
-        match e {
-            CheckpointError::Io(io) => PersistError::Io(io),
-            CheckpointError::Integrity(i) => i.into(),
-            CheckpointError::Weights(w) => PersistError::Weights(w),
-            CheckpointError::Meta(d) => PersistError::Meta(d),
-        }
-    }
-}
-
-impl From<IntegrityError> for PersistError {
-    fn from(e: IntegrityError) -> Self {
-        match e {
-            IntegrityError::Io(io) => PersistError::Io(io),
-            IntegrityError::Malformed(d) => PersistError::Meta(format!("manifest: {d}")),
-            IntegrityError::VersionMismatch { found, supported } => {
-                PersistError::VersionMismatch { found, supported }
-            }
-            IntegrityError::Corrupt { file, detail } => PersistError::Corrupt { file, detail },
-        }
-    }
-}
-
-/// Writes `dir/manifest.txt` covering every pipeline file. Called last in
-/// a save, after all blobs are on disk.
-pub(crate) fn write_manifest(dir: &Path) -> Result<(), PersistError> {
-    Manifest::for_files(dir, &PIPELINE_FILES)?.write(dir)?;
-    Ok(())
-}
-
-/// Verifies the directory against its manifest before anything is
-/// decoded. A directory without a manifest predates this format and is
-/// accepted as-is (legacy load path).
-pub(crate) fn verify_manifest(dir: &Path) -> Result<(), PersistError> {
-    if !dir.join("manifest.txt").exists() {
-        return Ok(());
-    }
-    let manifest = Manifest::read(dir)?;
-    manifest.verify_dir(dir)?;
-    Ok(())
+fn module_count_key(module: &str) -> String {
+    format!("aero.module.{module}.count")
 }
 
 /// The dataset-independent state restored on load.
@@ -179,20 +55,9 @@ pub struct PipelineMeta {
     pub variant: AblationVariant,
 }
 
-pub(crate) fn write_vocab(vocab: &Vocabulary, path: &Path) -> Result<(), PersistError> {
-    let mut out = String::new();
-    for id in 0..vocab.len() {
-        out.push_str(vocab.word(id));
-        out.push('\n');
-    }
-    write_atomic(path, out.as_bytes())?;
-    Ok(())
-}
-
 /// Rebuilds a [`Vocabulary`] with identical ids from its word list: the
 /// non-special words are fed with descending artificial frequency so
-/// `Vocabulary::build` preserves order. Shared by the on-disk loader and
-/// the in-memory [`crate::snapshot::PipelineSnapshot`] replica path.
+/// `Vocabulary::build` preserves order.
 pub(crate) fn vocab_from_words<S: AsRef<str>>(words: &[S]) -> Result<Vocabulary, PersistError> {
     if words.len() < 4 {
         return Err(PersistError::Meta("vocabulary too short".into()));
@@ -219,14 +84,7 @@ pub(crate) fn vocab_from_words<S: AsRef<str>>(words: &[S]) -> Result<Vocabulary,
     Ok(vocab)
 }
 
-pub(crate) fn read_tokenizer(dir: &Path, max_len: usize) -> Result<Tokenizer, PersistError> {
-    let text = fs::read_to_string(dir.join("vocab.txt"))?;
-    let words: Vec<&str> = text.lines().collect();
-    Ok(Tokenizer::new(vocab_from_words(&words)?, max_len))
-}
-
-/// The stable on-disk tag for a caption provider, shared by `meta.txt`
-/// and the model-artifact metadata section.
+/// The stable on-disk tag for a caption provider.
 #[must_use]
 pub fn provider_tag(provider: LlmProvider) -> &'static str {
     match provider {
@@ -252,8 +110,7 @@ pub fn parse_provider_tag(tag: &str) -> Result<LlmProvider, PersistError> {
     }
 }
 
-/// The stable on-disk tag for an ablation variant, shared by `meta.txt`
-/// and the model-artifact metadata section.
+/// The stable on-disk tag for an ablation variant.
 #[must_use]
 pub fn variant_tag(variant: AblationVariant) -> &'static str {
     match variant {
@@ -279,55 +136,6 @@ pub fn parse_variant_tag(tag: &str) -> Result<AblationVariant, PersistError> {
     }
 }
 
-pub(crate) fn write_meta(meta: &PipelineMeta, path: &Path) -> Result<(), PersistError> {
-    let provider = provider_tag(meta.provider);
-    let variant = variant_tag(meta.variant);
-    write_atomic(
-        path,
-        format!(
-            "max_len={}\nlatent_scale={}\nprovider={provider}\nvariant={variant}\n",
-            meta.max_len, meta.latent_scale
-        )
-        .as_bytes(),
-    )?;
-    Ok(())
-}
-
-pub(crate) fn read_meta(path: &Path) -> Result<PipelineMeta, PersistError> {
-    let text = fs::read_to_string(path)?;
-    let mut max_len = None;
-    let mut latent_scale = None;
-    let mut provider = None;
-    let mut variant = None;
-    for line in text.lines() {
-        let Some((k, v)) = line.split_once('=') else { continue };
-        match k {
-            "max_len" => max_len = v.parse().ok(),
-            "latent_scale" => latent_scale = v.parse().ok(),
-            "provider" => provider = Some(parse_provider_tag(v)?),
-            "variant" => variant = Some(parse_variant_tag(v)?),
-            _ => {}
-        }
-    }
-    Ok(PipelineMeta {
-        max_len: max_len.ok_or_else(|| PersistError::Meta("missing max_len".into()))?,
-        latent_scale: latent_scale
-            .ok_or_else(|| PersistError::Meta("missing latent_scale".into()))?,
-        provider: provider.ok_or_else(|| PersistError::Meta("missing provider".into()))?,
-        variant: variant.ok_or_else(|| PersistError::Meta("missing variant".into()))?,
-    })
-}
-
-pub(crate) fn save_module(params: &[aero_nn::Var], path: &Path) -> Result<(), PersistError> {
-    write_atomic(path, &encode_params(params))?;
-    Ok(())
-}
-
-pub(crate) fn load_module(params: &[aero_nn::Var], path: &Path) -> Result<(), PersistError> {
-    load_params(params, path)?;
-    Ok(())
-}
-
 /// A convenience: config hash so loads against a different geometry fail
 /// fast with a clear message instead of a shape mismatch deep inside.
 pub(crate) fn config_fingerprint(config: &PipelineConfig) -> String {
@@ -341,44 +149,167 @@ pub(crate) fn config_fingerprint(config: &PipelineConfig) -> String {
     )
 }
 
+fn parse_f32_bits(key: &str, value: &str) -> Result<f32, PersistError> {
+    let hex = value
+        .strip_prefix("0x")
+        .ok_or_else(|| PersistError::Meta(format!("{key} is not a bit pattern: {value}")))?;
+    u32::from_str_radix(hex, 16)
+        .map(f32::from_bits)
+        .map_err(|e| PersistError::Meta(format!("bad {key}: {e}")))
+}
+
+impl PipelineSnapshot {
+    /// Lays the snapshot out as an artifact, every weight tensor stored
+    /// as `dtype`. Deterministic: metadata keys are sorted, tensor order
+    /// is the fixed module order and quantization is deterministic, so
+    /// the same snapshot always renders the same bytes.
+    #[must_use]
+    pub fn to_artifact(&self, dtype: DType) -> ArtifactBuilder {
+        let mut builder = ArtifactBuilder::new();
+        builder.set(KEY_QUANT, dtype.tag());
+        builder.set(KEY_CONFIG, &self.config().render_kv());
+        let meta = self.meta();
+        builder.set(KEY_MAX_LEN, &meta.max_len.to_string());
+        builder.set(KEY_LATENT_SCALE, &format!("0x{:08x}", meta.latent_scale.to_bits()));
+        builder.set(KEY_PROVIDER, provider_tag(meta.provider));
+        builder.set(KEY_VARIANT, variant_tag(meta.variant));
+        builder.set(KEY_THREADS, &self.parallel().threads().to_string());
+        builder.set(KEY_VOCAB, &self.vocab_words().join("\n"));
+        for (module, tensors) in self.module_tensors() {
+            builder.set(&module_count_key(module), &tensors.len().to_string());
+            for (i, t) in tensors.iter().enumerate() {
+                let name = format!("{module}.{i}");
+                match dtype {
+                    DType::F32 => builder.add_f32(&name, t),
+                    DType::Q8 => builder.add_q8(&name, &Q8Tensor::quantize(t)),
+                }
+            }
+        }
+        builder
+    }
+
+    /// Reassembles a snapshot from a verified artifact. For an `f32`
+    /// artifact the snapshot is identical to the one written — replicas
+    /// hydrated from it generate the same images. For a `q8` artifact
+    /// the weights carry quantization error; everything else
+    /// (config, vocabulary, metadata) is exact.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Meta`] on missing/malformed metadata,
+    /// [`PersistError::Corrupt`] on undecodable tensor payloads.
+    pub fn from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapshot, PersistError> {
+        let config = PipelineConfig::parse_kv(artifact.require(KEY_CONFIG)?)
+            .map_err(|e| PersistError::Meta(format!("config: {e}")))?;
+        let meta = PipelineMeta {
+            max_len: artifact.parse_value(KEY_MAX_LEN)?,
+            latent_scale: parse_f32_bits(KEY_LATENT_SCALE, artifact.require(KEY_LATENT_SCALE)?)?,
+            provider: parse_provider_tag(artifact.require(KEY_PROVIDER)?)?,
+            variant: parse_variant_tag(artifact.require(KEY_VARIANT)?)?,
+        };
+        let threads: usize = artifact.parse_value(KEY_THREADS)?;
+        let vocab = artifact.require(KEY_VOCAB)?.split('\n').map(str::to_string).collect();
+        let mut modules: [Vec<Tensor>; 5] = Default::default();
+        for (slot, module) in modules.iter_mut().zip(MODULE_NAMES) {
+            let count = artifact.parse_value(&module_count_key(module))?;
+            *slot = artifact.tensors(module, count)?;
+        }
+        Ok(PipelineSnapshot::from_parts(
+            config,
+            meta,
+            ParallelConfig::with_threads(threads),
+            vocab,
+            modules,
+        ))
+    }
+}
+
+impl AeroDiffusionPipeline {
+    /// Saves the trained pipeline as `dir/pipeline.amdl` (see
+    /// [`crate::persist`] for the layout), creating `dir` if needed.
+    /// Other files in `dir` are left alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn save<P: AsRef<Path>>(&self, dir: P) -> Result<(), PersistError> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        self.snapshot().to_artifact(DType::F32).write(&dir.join(PIPELINE_FILE))
+    }
+
+    /// Loads a pipeline saved by [`AeroDiffusionPipeline::save`]. The
+    /// provided `config` must match the training configuration's
+    /// geometry. Unlike [`PipelineSnapshot::hydrate`], loading leaves the
+    /// calling thread's kernel policy alone.
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O errors, a corrupt artifact, malformed metadata, a
+    /// configuration fingerprint mismatch, or weight/shape mismatches.
+    pub fn load<P: AsRef<Path>>(dir: P, config: PipelineConfig) -> Result<Self, PersistError> {
+        let artifact = ModelArtifact::read(&dir.as_ref().join(PIPELINE_FILE))?;
+        let snapshot = PipelineSnapshot::from_artifact(&artifact)?;
+        let (saved, requested) =
+            (config_fingerprint(snapshot.config()), config_fingerprint(&config));
+        if saved != requested {
+            return Err(PersistError::Meta(format!(
+                "config fingerprint mismatch: saved {saved}, requested {requested}"
+            )));
+        }
+        snapshot.build(config)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn meta_round_trip() {
-        let dir = std::env::temp_dir().join("aero_persist_meta");
-        fs::create_dir_all(&dir).unwrap();
-        let meta = PipelineMeta {
+    fn meta() -> PipelineMeta {
+        PipelineMeta {
             max_len: 24,
             latent_scale: 1.25,
             provider: LlmProvider::GeminiLike,
             variant: AblationVariant::WithKeypointText,
-        };
-        let path = dir.join("meta.txt");
-        write_meta(&meta, &path).unwrap();
-        assert_eq!(read_meta(&path).unwrap(), meta);
+        }
+    }
+
+    fn weightless_snapshot() -> PipelineSnapshot {
+        let vocab = Vocabulary::build(["the car drives past the tree on the road"], 1);
+        let words = (0..vocab.len()).map(|id| vocab.word(id).to_string()).collect();
+        PipelineSnapshot::from_parts(
+            PipelineConfig::smoke(),
+            meta(),
+            ParallelConfig::with_threads(3),
+            words,
+            Default::default(),
+        )
+    }
+
+    #[test]
+    fn meta_round_trip() {
+        let snapshot = weightless_snapshot();
+        let bytes = snapshot.to_artifact(DType::F32).to_bytes();
+        let back = PipelineSnapshot::from_artifact(&ModelArtifact::from_bytes(bytes).unwrap());
+        assert_eq!(back.unwrap(), snapshot);
     }
 
     #[test]
     fn vocab_round_trip() {
-        let dir = std::env::temp_dir().join("aero_persist_vocab");
-        fs::create_dir_all(&dir).unwrap();
         let vocab = Vocabulary::build(["the car drives past the tree on the road"], 1);
-        write_vocab(&vocab, &dir.join("vocab.txt")).unwrap();
-        let tok = read_tokenizer(&dir, 10).unwrap();
+        let words: Vec<&str> = (0..vocab.len()).map(|id| vocab.word(id)).collect();
+        let rebuilt = vocab_from_words(&words).unwrap();
         for id in 0..vocab.len() {
-            assert_eq!(tok.vocab().word(id), vocab.word(id), "id {id}");
+            assert_eq!(rebuilt.word(id), vocab.word(id), "id {id}");
         }
     }
 
     #[test]
     fn meta_rejects_garbage() {
-        let dir = std::env::temp_dir().join("aero_persist_bad");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("meta.txt");
-        fs::write(&path, "provider=alien\n").unwrap();
-        assert!(read_meta(&path).is_err());
+        let mut builder = weightless_snapshot().to_artifact(DType::F32);
+        builder.set(KEY_PROVIDER, "alien");
+        let artifact = ModelArtifact::from_bytes(builder.to_bytes()).unwrap();
+        assert!(matches!(PipelineSnapshot::from_artifact(&artifact), Err(PersistError::Meta(_))));
     }
 
     #[test]
@@ -386,64 +317,5 @@ mod tests {
         let a = config_fingerprint(&PipelineConfig::smoke());
         let b = config_fingerprint(&PipelineConfig::small());
         assert_ne!(a, b);
-    }
-
-    /// Builds a synthetic pipeline directory with every manifest-covered
-    /// file present (contents are arbitrary; only integrity is under test).
-    fn synthetic_pipeline_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("aero_persist_{name}"));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        for (i, file) in PIPELINE_FILES.iter().enumerate() {
-            fs::write(dir.join(file), format!("blob-{i}-{file}")).unwrap();
-        }
-        write_manifest(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn single_bit_flip_in_unet_weights_is_corrupt() {
-        let dir = synthetic_pipeline_dir("bitflip");
-        verify_manifest(&dir).unwrap();
-        let path = dir.join("unet.aero");
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[2] ^= 0x01;
-        fs::write(&path, bytes).unwrap();
-        match verify_manifest(&dir) {
-            Err(PersistError::Corrupt { file, .. }) => assert_eq!(file, "unet.aero"),
-            other => panic!("expected Corrupt for unet.aero, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_manifest_is_a_meta_error() {
-        let dir = synthetic_pipeline_dir("truncated");
-        let manifest = fs::read_to_string(dir.join("manifest.txt")).unwrap();
-        // Cut mid-entry: the last line loses its name field.
-        let cut = manifest.trim_end().rfind(' ').unwrap();
-        fs::write(dir.join("manifest.txt"), &manifest[..cut]).unwrap();
-        assert!(
-            matches!(verify_manifest(&dir), Err(PersistError::Meta(_))),
-            "a truncated manifest must surface as a Meta error"
-        );
-    }
-
-    #[test]
-    fn unsupported_manifest_version_is_typed() {
-        let dir = synthetic_pipeline_dir("version");
-        let manifest = fs::read_to_string(dir.join("manifest.txt")).unwrap();
-        fs::write(dir.join("manifest.txt"), manifest.replacen("version=1", "version=9", 1))
-            .unwrap();
-        assert!(matches!(
-            verify_manifest(&dir),
-            Err(PersistError::VersionMismatch { found: 9, .. })
-        ));
-    }
-
-    #[test]
-    fn missing_manifest_is_accepted_as_legacy() {
-        let dir = synthetic_pipeline_dir("legacy");
-        fs::remove_file(dir.join("manifest.txt")).unwrap();
-        verify_manifest(&dir).unwrap();
     }
 }

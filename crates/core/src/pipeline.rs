@@ -497,14 +497,6 @@ impl AeroDiffusionPipeline {
         self.condition.build_batch(&self.bundle.clip, &inputs).to_tensor()
     }
 
-    /// The pre-task positional encode stage.
-    #[deprecated(
-        note = "build a `TaskSpec` (e.g. `TaskSpec::text`) and call `encode_task` instead"
-    )]
-    pub fn encode_condition(&self, item: &DatasetItem, caption_g: &str, g_prime: &str) -> Tensor {
-        self.encode_task(&TaskSpec::text(item, caption_g, g_prime))
-    }
-
     /// The `[1, c, h, w]` diffusion-space latent of one native-resolution
     /// image (the inpainting reference the sampler pins to).
     ///
@@ -711,97 +703,6 @@ impl AeroDiffusionPipeline {
         self.encode_task(&TaskSpec::text(item, &caption, &caption))
     }
 
-    /// Saves the trained pipeline to a directory (see [`crate::persist`]
-    /// for the layout).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save<P: AsRef<std::path::Path>>(
-        &self,
-        dir: P,
-    ) -> Result<(), crate::persist::PersistError> {
-        use crate::persist;
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        persist::write_vocab(self.bundle.tokenizer.vocab(), &dir.join("vocab.txt"))?;
-        persist::write_meta(
-            &crate::persist::PipelineMeta {
-                max_len: self.bundle.tokenizer.max_len(),
-                latent_scale: self.bundle.vae.latent_scale(),
-                provider: self.provider,
-                variant: self.variant,
-            },
-            &dir.join("meta.txt"),
-        )?;
-        aero_nn::integrity::write_atomic(
-            &dir.join("config.txt"),
-            persist::config_fingerprint(&self.config).as_bytes(),
-        )?;
-        persist::save_module(&self.bundle.clip.params(), &dir.join("clip.aero"))?;
-        persist::save_module(&self.bundle.vae.params(), &dir.join("vae.aero"))?;
-        persist::save_module(&self.bundle.detector.params(), &dir.join("detector.aero"))?;
-        persist::save_module(&self.condition.params(), &dir.join("condition.aero"))?;
-        persist::save_module(&self.unet.params(), &dir.join("unet.aero"))?;
-        // Written last: the manifest only ever describes a complete save.
-        persist::write_manifest(dir)?;
-        Ok(())
-    }
-
-    /// Loads a pipeline saved by [`AeroDiffusionPipeline::save`]. The
-    /// provided `config` must match the training configuration.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, malformed metadata, a configuration
-    /// fingerprint mismatch, or weight/shape mismatches.
-    pub fn load<P: AsRef<std::path::Path>>(
-        dir: P,
-        config: PipelineConfig,
-    ) -> Result<Self, crate::persist::PersistError> {
-        use crate::persist;
-        let dir = dir.as_ref();
-        // Integrity first: a bit flip anywhere fails typed before any
-        // blob is decoded. Directories without a manifest are legacy
-        // saves and load unchecked.
-        persist::verify_manifest(dir)?;
-        let fingerprint = std::fs::read_to_string(dir.join("config.txt"))?;
-        if fingerprint != persist::config_fingerprint(&config) {
-            return Err(crate::persist::PersistError::Meta(format!(
-                "config fingerprint mismatch: saved {fingerprint}, requested {}",
-                persist::config_fingerprint(&config)
-            )));
-        }
-        let meta = persist::read_meta(&dir.join("meta.txt"))?;
-        let tokenizer = persist::read_tokenizer(dir, meta.max_len)?;
-        let mut bundle = SubstrateBundle::new_untrained(tokenizer, &config, 0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let vocab = bundle.tokenizer.vocab().len();
-        let condition = ConditionNetwork::with_components(
-            vocab,
-            &config,
-            meta.variant.uses_blip(),
-            meta.variant.uses_object_detection(),
-            &mut rng,
-        );
-        let unet = CondUnet::new(crate::lint::unet_config(&config), &mut rng);
-        persist::load_module(&bundle.clip.params(), &dir.join("clip.aero"))?;
-        persist::load_module(&bundle.vae.params(), &dir.join("vae.aero"))?;
-        persist::load_module(&bundle.detector.params(), &dir.join("detector.aero"))?;
-        persist::load_module(&condition.params(), &dir.join("condition.aero"))?;
-        persist::load_module(&unet.params(), &dir.join("unet.aero"))?;
-        bundle.vae.set_latent_scale(meta.latent_scale);
-        Ok(AeroDiffusionPipeline {
-            config,
-            bundle,
-            condition,
-            unet,
-            trainer: DiffusionTrainer::new(config.diffusion),
-            provider: meta.provider,
-            variant: meta.variant,
-        })
-    }
-
     /// The prompt template in use.
     pub fn prompt(&self) -> PromptTemplate {
         self.variant.prompt()
@@ -859,25 +760,25 @@ mod tests {
     }
 
     #[test]
-    fn save_writes_manifest_and_load_rejects_bit_flips() {
+    fn save_writes_one_artifact_and_load_rejects_bit_flips() {
         let ds = tiny_dataset(4);
         let pipeline = AeroDiffusionPipeline::fit(&ds, PipelineConfig::smoke(), 8);
-        let dir = std::env::temp_dir().join("aero_pipeline_manifest_e2e");
+        let dir = std::env::temp_dir().join("aero_pipeline_artifact_e2e");
         let _ = std::fs::remove_dir_all(&dir);
         pipeline.save(&dir).unwrap();
-        assert!(dir.join("manifest.txt").exists());
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, [crate::persist::PIPELINE_FILE], "save writes exactly one file");
         AeroDiffusionPipeline::load(&dir, PipelineConfig::smoke()).unwrap();
 
-        let path = dir.join("unet.aero");
+        let path = dir.join(crate::persist::PIPELINE_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;
         std::fs::write(&path, bytes).unwrap();
         match AeroDiffusionPipeline::load(&dir, PipelineConfig::smoke()) {
-            Err(crate::persist::PersistError::Corrupt { file, .. }) => {
-                assert_eq!(file, "unet.aero");
-            }
-            other => panic!("expected Corrupt for flipped unet.aero, got {other:?}"),
+            Err(crate::persist::PersistError::Corrupt { .. }) => {}
+            other => panic!("expected Corrupt for a flipped pipeline.amdl, got {other:?}"),
         }
     }
 

@@ -3,8 +3,8 @@
 //! [`AeroDiffusionPipeline`] weights live in `aero-nn` autograd handles
 //! (`Rc<RefCell<…>>`), which cannot cross threads. A [`PipelineSnapshot`]
 //! captures everything a replica needs — configuration, metadata, the
-//! vocabulary, and every module's weights in the `aero-nn` binary codec —
-//! as plain owned data that *is* `Send + Sync`. The serving worker pool
+//! vocabulary, and every module's weight tensors — as plain owned data
+//! that *is* `Send + Sync`. The serving worker pool
 //! shares one snapshot behind an `Arc` and each worker hydrates its own
 //! thread-local replica, the standard immutable-weights/many-replicas
 //! deployment shape.
@@ -16,9 +16,10 @@ use crate::persist::{vocab_from_words, PersistError, PipelineMeta};
 use crate::pipeline::AeroDiffusionPipeline;
 use crate::substrate::SubstrateBundle;
 use aero_diffusion::{CondUnet, DiffusionTrainer};
-use aero_nn::serialize::{decode_tensors, encode_params, load_into_params, LoadWeightsError};
+use aero_nn::amdl::load_into_params;
 use aero_nn::{Module, Var};
 use aero_tensor::parallel::{self, ParallelConfig};
+use aero_tensor::Tensor;
 use aero_text::llm::LlmProvider;
 use aero_text::tokenizer::Tokenizer;
 use rand::rngs::StdRng;
@@ -40,23 +41,16 @@ pub struct PipelineSnapshot {
     meta: PipelineMeta,
     parallel: ParallelConfig,
     vocab: Vec<String>,
-    clip: Vec<u8>,
-    vae: Vec<u8>,
-    detector: Vec<u8>,
-    condition: Vec<u8>,
-    unet: Vec<u8>,
+    /// Weight tensors per module, in [`MODULE_NAMES`] order.
+    modules: [Vec<Tensor>; 5],
 }
 
-fn params_bytes(params: &[Var]) -> Vec<u8> {
-    encode_params(params).to_vec()
-}
-
-fn restore(params: &[Var], blob: &[u8]) -> Result<(), LoadWeightsError> {
-    load_into_params(params, decode_tensors(blob)?)
+fn values(params: &[Var]) -> Vec<Tensor> {
+    params.iter().map(Var::to_tensor).collect()
 }
 
 /// The five weight-carrying modules of a snapshot, in the order
-/// [`PipelineSnapshot::module_blobs`] yields them and
+/// [`PipelineSnapshot::module_tensors`] yields them and
 /// [`PipelineSnapshot::from_parts`] expects them.
 pub const MODULE_NAMES: [&str; 5] = ["clip", "vae", "detector", "condition", "unet"];
 
@@ -76,33 +70,24 @@ impl PipelineSnapshot {
         &self.vocab
     }
 
-    /// Every module's serialized weight blob, named, in
-    /// [`MODULE_NAMES`] order. This is the model-artifact export path.
-    pub fn module_blobs(&self) -> [(&'static str, &[u8]); 5] {
-        [
-            ("clip", self.clip.as_slice()),
-            ("vae", self.vae.as_slice()),
-            ("detector", self.detector.as_slice()),
-            ("condition", self.condition.as_slice()),
-            ("unet", self.unet.as_slice()),
-        ]
+    /// Every module's weight tensors, named, in [`MODULE_NAMES`] order.
+    pub fn module_tensors(&self) -> [(&'static str, &[Tensor]); 5] {
+        std::array::from_fn(|i| (MODULE_NAMES[i], self.modules[i].as_slice()))
     }
 
-    /// Reassembles a snapshot from its parts — the model-artifact
-    /// hydration path. `modules` must be the weight blobs in
-    /// [`MODULE_NAMES`] order; nothing is decoded here, so a corrupted
-    /// blob surfaces later, from [`PipelineSnapshot::hydrate`], as a
-    /// typed error.
+    /// Reassembles a snapshot from its parts. `modules` must be the
+    /// weight tensors in [`MODULE_NAMES`] order; nothing is checked
+    /// against the architecture here, so a mismatch surfaces later, from
+    /// [`PipelineSnapshot::hydrate`], as a typed error.
     #[must_use]
     pub fn from_parts(
         config: PipelineConfig,
         meta: PipelineMeta,
         parallel: ParallelConfig,
         vocab: Vec<String>,
-        modules: [Vec<u8>; 5],
+        modules: [Vec<Tensor>; 5],
     ) -> PipelineSnapshot {
-        let [clip, vae, detector, condition, unet] = modules;
-        PipelineSnapshot { config, meta, parallel, vocab, clip, vae, detector, condition, unet }
+        PipelineSnapshot { config, meta, parallel, vocab, modules }
     }
 
     /// The ablation variant the snapshot was trained as.
@@ -131,13 +116,9 @@ impl PipelineSnapshot {
         copy
     }
 
-    /// Total size of the serialized weight blobs in bytes.
+    /// Total size of the weight tensors in bytes (`f32`).
     pub fn weight_bytes(&self) -> usize {
-        self.clip.len()
-            + self.vae.len()
-            + self.detector.len()
-            + self.condition.len()
-            + self.unet.len()
+        self.modules.iter().flatten().map(|t| t.numel() * 4).sum()
     }
 
     /// Reconstructs a working pipeline replica from the snapshot. The
@@ -146,52 +127,68 @@ impl PipelineSnapshot {
     ///
     /// # Errors
     ///
-    /// Fails if the stored vocabulary or a weight blob does not decode
-    /// against the snapshot's own configuration (possible only if the
-    /// snapshot bytes were corrupted in transit).
+    /// Fails if the stored vocabulary or a module's weights do not match
+    /// the snapshot's own configuration (possible only if the snapshot
+    /// was corrupted or assembled from mismatched parts).
     pub fn hydrate(&self) -> Result<AeroDiffusionPipeline, PersistError> {
         // Adopt the snapshot's kernel thread policy and compute backend
         // on the hydrating thread: serving workers call hydrate() on
         // their own thread, so every replica runs under the policy the
         // snapshot carries.
         parallel::adopt_thread_policy(self.parallel);
+        self.build(self.config)
+    }
+
+    /// Builds a pipeline for `config` from the snapshot's weights,
+    /// without touching the calling thread's kernel policy.
+    pub(crate) fn build(
+        &self,
+        config: PipelineConfig,
+    ) -> Result<AeroDiffusionPipeline, PersistError> {
         let tokenizer = Tokenizer::new(vocab_from_words(&self.vocab)?, self.meta.max_len);
-        let mut bundle = SubstrateBundle::new_untrained(tokenizer, &self.config, 0);
+        let mut bundle = SubstrateBundle::new_untrained(tokenizer, &config, 0);
         let mut rng = StdRng::seed_from_u64(0);
         let vocab = bundle.tokenizer.vocab().len();
         let condition = ConditionNetwork::with_components(
             vocab,
-            &self.config,
+            &config,
             self.meta.variant.uses_blip(),
             self.meta.variant.uses_object_detection(),
             &mut rng,
         );
-        let unet = CondUnet::new(crate::lint::unet_config(&self.config), &mut rng);
-        restore(&bundle.clip.params(), &self.clip)?;
-        restore(&bundle.vae.params(), &self.vae)?;
-        restore(&bundle.detector.params(), &self.detector)?;
-        restore(&condition.params(), &self.condition)?;
-        restore(&unet.params(), &self.unet)?;
+        let unet = CondUnet::new(crate::lint::unet_config(&config), &mut rng);
+        let targets = [
+            bundle.clip.params(),
+            bundle.vae.params(),
+            bundle.detector.params(),
+            condition.params(),
+            unet.params(),
+        ];
+        for (params, stored) in targets.iter().zip(&self.modules) {
+            load_into_params(params, stored)?;
+        }
         bundle.vae.set_latent_scale(self.meta.latent_scale);
         Ok(AeroDiffusionPipeline {
-            config: self.config,
+            config,
             bundle,
             condition,
             unet,
-            trainer: DiffusionTrainer::new(self.config.diffusion),
+            trainer: DiffusionTrainer::new(config.diffusion),
             provider: self.meta.provider,
             variant: self.meta.variant,
         })
     }
 
-    /// A copy whose UNet weight blob is truncated mid-stream — a snapshot
-    /// guaranteed to fail [`PipelineSnapshot::hydrate`]. Exists for the
-    /// serving fault-injection harness: worker-hydration failure paths
-    /// need a realistic corrupt snapshot to exercise.
+    /// A copy that keeps only the first half of the UNet's weight
+    /// tensors — a snapshot guaranteed to fail
+    /// [`PipelineSnapshot::hydrate`]. Exists for the serving
+    /// fault-injection harness: worker-hydration failure paths need a
+    /// realistic corrupt snapshot to exercise.
     #[must_use]
     pub fn with_truncated_unet(&self) -> PipelineSnapshot {
         let mut copy = self.clone();
-        copy.unet.truncate(copy.unet.len() / 2);
+        let unet = &mut copy.modules[4];
+        unet.truncate(unet.len() / 2);
         copy
     }
 }
@@ -211,11 +208,13 @@ impl AeroDiffusionPipeline {
                 variant: self.variant,
             },
             vocab: (0..vocab.len()).map(|id| vocab.word(id).to_string()).collect(),
-            clip: params_bytes(&self.bundle.clip.params()),
-            vae: params_bytes(&self.bundle.vae.params()),
-            detector: params_bytes(&self.bundle.detector.params()),
-            condition: params_bytes(&self.condition.params()),
-            unet: params_bytes(&self.unet.params()),
+            modules: [
+                values(&self.bundle.clip.params()),
+                values(&self.bundle.vae.params()),
+                values(&self.bundle.detector.params()),
+                values(&self.condition.params()),
+                values(&self.unet.params()),
+            ],
         }
     }
 }

@@ -1,6 +1,5 @@
 //! Integration tests for the typed [`TaskSpec`] conditioning API: the
-//! deprecated shim's bitwise equivalence, the inpainting no-touch
-//! guarantee outside the masked footprint, cascade observer reuse, and
+//! inpainting no-touch guarantee outside the masked footprint, cascade observer reuse, and
 //! the heterogeneous-batch mixing contract the serving runtime relies
 //! on. One smoke-scale pipeline is trained once and shared.
 
@@ -42,26 +41,6 @@ fn sampler(pipeline: &AeroDiffusionPipeline) -> DdimSampler {
 
 fn image_bits(image: &Image) -> Vec<u32> {
     image.to_tensor().as_slice().iter().map(|v| v.to_bits()).collect()
-}
-
-/// The one-release migration shim must stay a pure alias for the task
-/// API, or external callers would silently change outputs mid-migration.
-#[test]
-fn deprecated_shim_is_bitwise_identical_to_the_task_api() {
-    let (snapshot, ds) = fixture();
-    let pipeline = snapshot.hydrate().expect("snapshot hydrates");
-    let item = &ds.items[0];
-    let caption = pipeline.caption_for(item, &mut StdRng::seed_from_u64(3));
-    let prompt = "an aerial view with more trucks";
-    #[allow(deprecated)]
-    let old = pipeline.encode_condition(item, &caption, prompt);
-    let new = pipeline.encode_task(&TaskSpec::text(item, &caption, prompt));
-    assert_eq!(old.shape(), new.shape());
-    let (old, new) = (old.as_slice(), new.as_slice());
-    assert!(
-        old.iter().zip(new).all(|(a, b)| a.to_bits() == b.to_bits()),
-        "shim output diverged from encode_task"
-    );
 }
 
 /// The inpainting acceptance bar: pixels outside the keypoint boxes'

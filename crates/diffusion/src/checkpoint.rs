@@ -12,30 +12,30 @@
 //! - the training cursor: global step, epoch, position within the
 //!   epoch, and the epoch's shuffled batch order.
 //!
-//! Each checkpoint is a directory `step-<n>/` written under a tmp name
-//! and atomically renamed into place, carrying a `manifest.txt` with
-//! per-blob CRC32 checksums (see [`aero_nn::integrity`]). On resume the
+//! Each checkpoint is one `.amdl` artifact (see [`aero_nn::amdl`]),
+//! `step-<n>.amdl`, written under a tmp name and atomically renamed into
+//! place. Parameters and Adam's `m`/`v` moments are stored as tensors
+//! (`param.<i>`, `adam.m.<i>`, `adam.v.<i>`); the cursor, the RNG words
+//! and Adam's step counter are key/value entries. The container's
+//! trailing CRC32 is verified before anything is decoded. On resume the
 //! newest checkpoint that passes verification wins; corrupt or
 //! half-written ones are skipped, not trusted. Only the last
 //! [`CheckpointConfig::keep`] checkpoints are retained on disk.
 
 use crate::trainer::{DiffusionTrainer, TrainBatch};
 use crate::unet::CondUnet;
-use aero_nn::integrity::{IntegrityError, Manifest};
+use aero_nn::amdl::{load_into_params, ArtifactBuilder, ModelArtifact, PersistError};
 use aero_nn::optim::{Adam, AdamState};
-use aero_nn::serialize::{decode_tensors, encode_params, load_into_params, LoadWeightsError};
 use aero_nn::{Module, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::error::Error;
-use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Where and how often to checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
-    /// Directory holding the `step-<n>/` checkpoint subdirectories.
+    /// Directory holding the `step-<n>.amdl` checkpoint files.
     pub dir: PathBuf,
     /// Save every this many optimizer steps (0 disables periodic saves;
     /// a final checkpoint is still written when a run completes).
@@ -68,118 +68,23 @@ pub struct TrainCursor {
     pub rng: [u64; 4],
 }
 
-/// Error saving or loading a checkpoint.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The manifest is missing/malformed, versioned wrong, or a blob
-    /// failed its checksum.
-    Integrity(IntegrityError),
-    /// A weight blob failed to decode or mismatched the parameters.
-    Weights(LoadWeightsError),
-    /// The cursor metadata (`state.txt`) is malformed.
-    Meta(String),
+fn join<T: ToString>(items: &[T]) -> String {
+    items.iter().map(ToString::to_string).collect::<Vec<_>>().join(",")
 }
 
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o failure: {e}"),
-            CheckpointError::Integrity(e) => write!(f, "checkpoint integrity failure: {e}"),
-            CheckpointError::Weights(e) => write!(f, "checkpoint weight failure: {e}"),
-            CheckpointError::Meta(d) => write!(f, "malformed checkpoint state: {d}"),
-        }
+fn split<T: std::str::FromStr>(key: &str, value: &str) -> Result<Vec<T>, PersistError> {
+    if value.is_empty() {
+        return Ok(Vec::new());
     }
+    value
+        .split(',')
+        .map(str::parse)
+        .collect::<Result<_, _>>()
+        .map_err(|_| PersistError::Meta(format!("malformed {key}: {value:?}")))
 }
 
-impl Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            CheckpointError::Integrity(e) => Some(e),
-            CheckpointError::Weights(e) => Some(e),
-            CheckpointError::Meta(_) => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-impl From<IntegrityError> for CheckpointError {
-    fn from(e: IntegrityError) -> Self {
-        CheckpointError::Integrity(e)
-    }
-}
-
-impl From<LoadWeightsError> for CheckpointError {
-    fn from(e: LoadWeightsError) -> Self {
-        CheckpointError::Weights(e)
-    }
-}
-
-const BLOBS: [&str; 3] = ["params.aero", "adam.aero", "state.txt"];
-
-fn render_state(cursor: &TrainCursor, adam_step: u64) -> String {
-    let rng = cursor.rng.map(|w| w.to_string()).join(",");
-    let order = cursor.order.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
-    format!(
-        "step={}\nadam_step={adam_step}\nepoch={}\nbatch={}\nrng={rng}\norder={order}\n",
-        cursor.step, cursor.epoch, cursor.batch
-    )
-}
-
-fn parse_state(text: &str) -> Result<(TrainCursor, u64), CheckpointError> {
-    let mut step = None;
-    let mut adam_step = None;
-    let mut epoch = None;
-    let mut batch = None;
-    let mut rng = None;
-    let mut order = None;
-    for line in text.lines() {
-        let Some((k, v)) = line.split_once('=') else { continue };
-        match k {
-            "step" => step = v.parse().ok(),
-            "adam_step" => adam_step = v.parse().ok(),
-            "epoch" => epoch = v.parse().ok(),
-            "batch" => batch = v.parse().ok(),
-            "rng" => {
-                let words: Vec<u64> = v.split(',').filter_map(|w| w.parse().ok()).collect();
-                if words.len() == 4 {
-                    rng = Some([words[0], words[1], words[2], words[3]]);
-                }
-            }
-            "order" => {
-                if v.is_empty() {
-                    order = Some(Vec::new());
-                } else {
-                    let idx: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
-                    order = idx.ok();
-                }
-            }
-            _ => {}
-        }
-    }
-    let missing = |what: &str| CheckpointError::Meta(format!("missing or malformed {what}"));
-    Ok((
-        TrainCursor {
-            step: step.ok_or_else(|| missing("step"))?,
-            epoch: epoch.ok_or_else(|| missing("epoch"))?,
-            batch: batch.ok_or_else(|| missing("batch"))?,
-            order: order.ok_or_else(|| missing("order"))?,
-            rng: rng.ok_or_else(|| missing("rng"))?,
-        },
-        adam_step.ok_or_else(|| missing("adam_step"))?,
-    ))
-}
-
-/// Saves one checkpoint atomically: blobs land in a tmp directory that
-/// is renamed to `step-<n>/` only once complete, then older checkpoints
-/// beyond [`CheckpointConfig::keep`] are pruned.
+/// Saves one checkpoint atomically as `step-<n>.amdl`, then prunes
+/// older checkpoints beyond [`CheckpointConfig::keep`].
 ///
 /// # Errors
 ///
@@ -190,26 +95,26 @@ pub fn save_checkpoint(
     cursor: &TrainCursor,
     params: &[Var],
     opt: &Adam,
-) -> Result<PathBuf, CheckpointError> {
+) -> Result<PathBuf, PersistError> {
     fs::create_dir_all(&config.dir)?;
-    let final_dir = config.dir.join(format!("step-{:08}", cursor.step));
-    let tmp_dir = config.dir.join(format!(".tmp-step-{:08}", cursor.step));
-    if tmp_dir.exists() {
-        fs::remove_dir_all(&tmp_dir)?;
-    }
-    fs::create_dir_all(&tmp_dir)?;
+    let path = config.dir.join(format!("step-{:08}.amdl", cursor.step));
     let state = opt.export_state();
-    fs::write(tmp_dir.join("params.aero"), encode_params(params))?;
-    fs::write(tmp_dir.join("adam.aero"), state.moments_bytes())?;
-    fs::write(tmp_dir.join("state.txt"), render_state(cursor, state.step))?;
-    Manifest::for_files(&tmp_dir, &BLOBS)?.write(&tmp_dir)?;
-    if final_dir.exists() {
-        fs::remove_dir_all(&final_dir)?;
+    let mut builder = ArtifactBuilder::new();
+    builder.set("step", &cursor.step.to_string());
+    builder.set("epoch", &cursor.epoch.to_string());
+    builder.set("batch", &cursor.batch.to_string());
+    builder.set("order", &join(&cursor.order));
+    builder.set("rng", &join(&cursor.rng));
+    builder.set("adam_step", &state.step.to_string());
+    builder.add_params("param", params);
+    for (i, (m, v)) in state.m.iter().zip(&state.v).enumerate() {
+        builder.add_f32(&format!("adam.m.{i}"), m);
+        builder.add_f32(&format!("adam.v.{i}"), v);
     }
-    fs::rename(&tmp_dir, &final_dir)?;
+    builder.write(&path)?;
     prune(config)?;
     aero_obs::counter!("train.checkpoint.saves").inc();
-    Ok(final_dir)
+    Ok(path)
 }
 
 /// All complete checkpoints under `dir`, as `(step, path)` ascending.
@@ -218,7 +123,7 @@ pub fn save_checkpoint(
 ///
 /// Propagates I/O failures listing an existing directory; a missing
 /// directory is simply empty.
-pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
+pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
     let mut found = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -228,7 +133,8 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointErr
     for entry in entries {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(step) = name.to_str().and_then(|n| n.strip_prefix("step-")) else { continue };
+        let step = name.to_str().and_then(|n| n.strip_prefix("step-")?.strip_suffix(".amdl"));
+        let Some(step) = step else { continue };
         if let Ok(step) = step.parse::<u64>() {
             found.push((step, entry.path()));
         }
@@ -237,40 +143,59 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointErr
     Ok(found)
 }
 
-fn prune(config: &CheckpointConfig) -> Result<(), CheckpointError> {
+fn prune(config: &CheckpointConfig) -> Result<(), PersistError> {
     let ckpts = list_checkpoints(&config.dir)?;
     let keep = config.keep.max(1);
     if ckpts.len() > keep {
         for (_, path) in &ckpts[..ckpts.len() - keep] {
-            fs::remove_dir_all(path)?;
+            fs::remove_file(path)?;
         }
     }
     Ok(())
 }
 
-/// Verifies and loads one checkpoint directory into `params` and `opt`.
+/// Verifies and loads one checkpoint file into `params` and `opt`.
 ///
-/// The manifest is checked first — version, then every blob's length and
-/// CRC32 — so a bit flip anywhere fails typed instead of loading a
-/// garbage model.
+/// The container's CRC is checked first, so a bit flip anywhere fails
+/// typed instead of loading a garbage model.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Integrity`] on checksum/version failures,
-/// [`CheckpointError::Weights`] on decode/shape mismatches,
-/// [`CheckpointError::Meta`] on malformed cursor metadata.
+/// [`PersistError::Corrupt`] / [`PersistError::VersionMismatch`] on
+/// integrity failures, [`PersistError::Weights`] on count or shape
+/// mismatches, [`PersistError::Meta`] on malformed cursor metadata.
 pub fn load_checkpoint(
-    dir: &Path,
+    path: &Path,
     params: &[Var],
     opt: &mut Adam,
-) -> Result<TrainCursor, CheckpointError> {
-    let manifest = Manifest::read(dir)?;
-    manifest.verify_dir(dir)?;
-    let (cursor, adam_step) = parse_state(&fs::read_to_string(dir.join("state.txt"))?)?;
-    let param_tensors = decode_tensors(&fs::read(dir.join("params.aero"))?)?;
-    let adam_state = AdamState::from_moments_bytes(&fs::read(dir.join("adam.aero"))?, adam_step)?;
+) -> Result<TrainCursor, PersistError> {
+    let artifact = ModelArtifact::read(path)?;
+    let n = params.len();
+    if artifact.tensor_infos().len() != 3 * n {
+        return Err(PersistError::Weights(format!(
+            "checkpoint holds {} tensors, expected {} for {n} parameters",
+            artifact.tensor_infos().len(),
+            3 * n
+        )));
+    }
+    let rng: Vec<u64> = split("rng", artifact.require("rng")?)?;
+    let rng: [u64; 4] =
+        rng.try_into().map_err(|_| PersistError::Meta("rng must hold 4 words".into()))?;
+    let cursor = TrainCursor {
+        step: artifact.parse_value("step")?,
+        epoch: artifact.parse_value("epoch")?,
+        batch: artifact.parse_value("batch")?,
+        order: split("order", artifact.require("order")?)?,
+        rng,
+    };
+    let param_tensors = artifact.tensors("param", n)?;
+    let adam_state = AdamState {
+        step: artifact.parse_value("adam_step")?,
+        m: artifact.tensors("adam.m", n)?,
+        v: artifact.tensors("adam.v", n)?,
+    };
     opt.restore_state(adam_state)?;
-    load_into_params(params, param_tensors)?;
+    load_into_params(params, &param_tensors)?;
     Ok(cursor)
 }
 
@@ -297,7 +222,7 @@ pub fn resume_latest(
     dir: &Path,
     params: &[Var],
     opt: &mut Adam,
-) -> Result<ResumeReport, CheckpointError> {
+) -> Result<ResumeReport, PersistError> {
     let mut ckpts = list_checkpoints(dir)?;
     ckpts.reverse();
     let mut skipped_corrupt = 0;
@@ -366,7 +291,7 @@ pub fn train_resumable(
     data: &[TrainBatch],
     options: &TrainRunOptions,
     checkpoint: &CheckpointConfig,
-) -> Result<TrainRun, CheckpointError> {
+) -> Result<TrainRun, PersistError> {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     let params = unet.params();
     let mut opt = Adam::new(params.clone(), options.lr).with_weight_decay(options.weight_decay);

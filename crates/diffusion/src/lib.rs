@@ -20,7 +20,7 @@ pub mod unet;
 
 pub use checkpoint::{
     list_checkpoints, load_checkpoint, resume_latest, save_checkpoint, train_resumable,
-    CheckpointConfig, CheckpointError, TrainCursor, TrainRun, TrainRunOptions,
+    CheckpointConfig, TrainCursor, TrainRun, TrainRunOptions,
 };
 pub use guard::{GuardConfig, GuardStats, GuardVerdict, TrainGuard};
 pub use sampler::{

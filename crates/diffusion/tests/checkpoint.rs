@@ -104,13 +104,12 @@ fn corrupt_latest_checkpoint_falls_back_to_newest_valid() {
     let ckpts = list_checkpoints(&dir).unwrap();
     assert_eq!(ckpts.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![2, 4]);
 
-    // Flip one bit in the newest checkpoint's weight blob.
+    // Flip one bit in the newest checkpoint file.
     let newest = &ckpts.last().unwrap().1;
-    let blob_path = newest.join("params.aero");
-    let mut blob = fs::read(&blob_path).unwrap();
+    let mut blob = fs::read(newest).unwrap();
     let mid = blob.len() / 2;
     blob[mid] ^= 0x04;
-    fs::write(&blob_path, blob).unwrap();
+    fs::write(newest, blob).unwrap();
 
     let unet_b = tiny_unet();
     let resumed = train_resumable(&trainer, &unet_b, &data, &options(None), &ckpt).unwrap();

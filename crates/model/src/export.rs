@@ -1,67 +1,20 @@
-//! Pipeline-snapshot export/hydration and the quantization-error report.
+//! Snapshot export with a quantization-error report.
 //!
-//! A snapshot exports to one artifact: the pipeline configuration
-//! (exact, via the bit-pattern `key=value` codec), metadata, vocabulary
-//! and thread policy land in the key/value section; every module's
-//! weight tensors land in the tensor table as `<module>.<index>` entries,
-//! either dense (`f32`) or block-quantized (`q8`).
-//!
-//! Export is **byte-stable**: metadata keys are sorted, tensor order is
-//! the fixed module order, and quantization is deterministic — the same
-//! snapshot always renders the identical artifact bytes.
-//!
-//! Quantized exports also produce a [`QuantReport`] with per-layer
-//! max/mean absolute reconstruction error, published to `aero_obs`
-//! gauges (`model.quant.*`); [`quality_delta`] extends that to an
-//! end-to-end comparison (FID and CLIP score of the q8 pipeline against
-//! its f32 original over a synthetic eval split).
+//! The artifact layout itself belongs to `aerodiffusion`
+//! ([`PipelineSnapshot::to_artifact`]); a saved pipeline directory holds
+//! exactly the `f32` form. This module adds what only exports need: a
+//! [`QuantReport`] with per-layer max/mean absolute reconstruction error,
+//! published to `aero_obs` gauges (`model.quant.*`), and
+//! [`quality_delta`], an end-to-end comparison (FID and CLIP score of the
+//! q8 pipeline against its f32 original over a synthetic eval split).
 
-use crate::format::{ArtifactBuilder, ModelArtifact};
-use crate::ModelError;
 use aero_metrics::{fid, FeatureExtractor};
+use aero_nn::amdl::{DType, ModelArtifact, PersistError};
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
-use aero_tensor::parallel::ParallelConfig;
 use aero_tensor::{Q8Tensor, Tensor};
-use aerodiffusion::{
-    parse_provider_tag, parse_variant_tag, provider_tag, variant_tag, PipelineConfig, PipelineMeta,
-    PipelineSnapshot, MODULE_NAMES,
-};
+use aerodiffusion::PipelineSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// How weight tensors are stored in an artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Quantization {
-    /// Exact `f32` storage; round trips are byte-identical.
-    F32,
-    /// Block-quantized q8 (~28% of the `f32` size, bounded per-element
-    /// error).
-    Q8,
-}
-
-impl Quantization {
-    /// The stable metadata tag (`"f32"` / `"q8"`).
-    #[must_use]
-    pub fn tag(self) -> &'static str {
-        match self {
-            Quantization::F32 => "f32",
-            Quantization::Q8 => "q8",
-        }
-    }
-
-    /// Parses a [`Quantization::tag`].
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Meta`] on an unknown tag.
-    pub fn parse(tag: &str) -> Result<Quantization, ModelError> {
-        match tag {
-            "f32" => Ok(Quantization::F32),
-            "q8" => Ok(Quantization::Q8),
-            other => Err(ModelError::Meta(format!("unknown quantization {other}"))),
-        }
-    }
-}
 
 /// Reconstruction error of one quantized layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +33,7 @@ pub struct LayerError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantReport {
     /// Storage mode of the export.
-    pub quantization: Quantization,
+    pub quantization: DType,
     /// Per-layer reconstruction errors (empty for `f32` exports).
     pub layers: Vec<LayerError>,
     /// Bytes the weight data would occupy stored dense.
@@ -105,168 +58,65 @@ impl QuantReport {
     }
 }
 
-const KEY_QUANT: &str = "aero.quantization";
-const KEY_CONFIG: &str = "aero.config";
-const KEY_MAX_LEN: &str = "aero.meta.max_len";
-const KEY_LATENT_SCALE: &str = "aero.meta.latent_scale";
-const KEY_PROVIDER: &str = "aero.meta.provider";
-const KEY_VARIANT: &str = "aero.meta.variant";
-const KEY_THREADS: &str = "aero.parallel.threads";
-const KEY_VOCAB: &str = "aero.vocab";
-
-fn module_count_key(module: &str) -> String {
-    format!("aero.module.{module}.count")
-}
-
-/// Renders a snapshot to artifact bytes, returning the bytes and the
-/// quantization report. Deterministic: the same snapshot and mode always
-/// produce identical bytes.
-///
-/// # Errors
-///
-/// [`ModelError::Corrupt`] if a snapshot weight blob does not decode
-/// (possible only for corrupted snapshot bytes).
-pub fn export_snapshot(
-    snapshot: &PipelineSnapshot,
-    quant: Quantization,
-) -> Result<(Vec<u8>, QuantReport), ModelError> {
-    let mut builder = ArtifactBuilder::new();
-    builder.set(KEY_QUANT, quant.tag());
-    builder.set(KEY_CONFIG, &snapshot.config().render_kv());
-    let meta = snapshot.meta();
-    builder.set(KEY_MAX_LEN, &meta.max_len.to_string());
-    builder.set(KEY_LATENT_SCALE, &format!("0x{:08x}", meta.latent_scale.to_bits()));
-    builder.set(KEY_PROVIDER, provider_tag(meta.provider));
-    builder.set(KEY_VARIANT, variant_tag(meta.variant));
-    builder.set(KEY_THREADS, &snapshot.parallel().threads().to_string());
-    builder.set(KEY_VOCAB, &snapshot.vocab_words().join("\n"));
-
+/// Renders a snapshot to artifact bytes with every weight stored as
+/// `dtype`, returning the bytes and the quantization report.
+/// Deterministic: the same snapshot and mode always produce identical
+/// bytes, and an `f32` export is byte-identical to the snapshot's saved
+/// pipeline file.
+#[must_use]
+pub fn export_snapshot(snapshot: &PipelineSnapshot, dtype: DType) -> (Vec<u8>, QuantReport) {
+    let bytes = snapshot.to_artifact(dtype).to_bytes();
     let mut layers = Vec::new();
-    let mut f32_data_bytes = 0usize;
     let mut max_abs = 0.0f32;
     let mut err_sum = 0.0f64;
     let mut total_elems = 0usize;
-    for (module, blob) in snapshot.module_blobs() {
-        let tensors = aero_nn::serialize::decode_tensors(blob)
-            .map_err(|e| ModelError::corrupt(format!("snapshot module {module}: {e}")))?;
-        builder.set(&module_count_key(module), &tensors.len().to_string());
-        for (i, t) in tensors.iter().enumerate() {
-            let name = format!("{module}.{i}");
-            f32_data_bytes += t.numel() * 4;
-            match quant {
-                Quantization::F32 => builder.add_f32(&name, t),
-                Quantization::Q8 => {
-                    let q = Q8Tensor::quantize(t);
-                    let (layer_max, layer_mean) = q.reconstruction_error(t);
-                    max_abs = max_abs.max(layer_max);
-                    err_sum += f64::from(layer_mean) * t.numel() as f64;
-                    total_elems += t.numel();
-                    layers.push(LayerError {
-                        name: name.clone(),
-                        numel: t.numel(),
-                        max_abs_error: layer_max,
-                        mean_abs_error: layer_mean,
-                    });
-                    builder.add_q8(&name, &q);
-                }
+    if dtype == DType::Q8 {
+        for (module, tensors) in snapshot.module_tensors() {
+            for (i, t) in tensors.iter().enumerate() {
+                let (layer_max, layer_mean) = Q8Tensor::quantize(t).reconstruction_error(t);
+                max_abs = max_abs.max(layer_max);
+                err_sum += f64::from(layer_mean) * t.numel() as f64;
+                total_elems += t.numel();
+                layers.push(LayerError {
+                    name: format!("{module}.{i}"),
+                    numel: t.numel(),
+                    max_abs_error: layer_max,
+                    mean_abs_error: layer_mean,
+                });
             }
         }
     }
-
-    let bytes = builder.to_bytes();
     let report = QuantReport {
-        quantization: quant,
+        quantization: dtype,
         layers,
-        f32_data_bytes,
+        f32_data_bytes: snapshot.weight_bytes(),
         artifact_bytes: bytes.len(),
         max_abs_error: max_abs,
         mean_abs_error: if total_elems == 0 { 0.0 } else { (err_sum / total_elems as f64) as f32 },
     };
     aero_obs::counter!("model.export.count").inc();
     aero_obs::gauge!("model.export.artifact_bytes").set(report.artifact_bytes as f64);
-    if quant == Quantization::Q8 {
+    if dtype == DType::Q8 {
         aero_obs::gauge!("model.quant.max_abs_error").set(f64::from(report.max_abs_error));
         aero_obs::gauge!("model.quant.mean_abs_error").set(f64::from(report.mean_abs_error));
         aero_obs::gauge!("model.quant.size_ratio").set(report.size_ratio());
     }
-    Ok((bytes, report))
+    (bytes, report)
 }
 
 /// Exports a snapshot to an artifact file, crash-safely.
 ///
 /// # Errors
 ///
-/// Propagates [`export_snapshot`] failures and I/O failures.
+/// Propagates I/O failures.
 pub fn write_snapshot(
     snapshot: &PipelineSnapshot,
-    quant: Quantization,
+    dtype: DType,
     path: &std::path::Path,
-) -> Result<QuantReport, ModelError> {
-    let (bytes, report) = export_snapshot(snapshot, quant)?;
+) -> Result<QuantReport, PersistError> {
+    let (bytes, report) = export_snapshot(snapshot, dtype);
     aero_nn::integrity::write_atomic(path, &bytes)?;
     Ok(report)
-}
-
-fn required<'a>(artifact: &'a ModelArtifact, key: &str) -> Result<&'a str, ModelError> {
-    artifact.value(key).ok_or_else(|| ModelError::Meta(format!("missing metadata key {key}")))
-}
-
-fn parse_f32_bits(key: &str, value: &str) -> Result<f32, ModelError> {
-    let hex = value
-        .strip_prefix("0x")
-        .ok_or_else(|| ModelError::Meta(format!("{key} is not a bit pattern: {value}")))?;
-    u32::from_str_radix(hex, 16)
-        .map(f32::from_bits)
-        .map_err(|e| ModelError::Meta(format!("bad {key}: {e}")))
-}
-
-/// Reassembles a [`PipelineSnapshot`] from a verified artifact. For an
-/// `f32` artifact the snapshot is byte-identical to the one exported —
-/// replicas hydrated from it generate the same images. For a `q8`
-/// artifact the weights carry quantization error; everything else
-/// (config, vocabulary, metadata) is exact.
-///
-/// # Errors
-///
-/// [`ModelError::Meta`] on missing/malformed metadata,
-/// [`ModelError::Corrupt`] on undecodable tensor payloads.
-pub fn snapshot_from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapshot, ModelError> {
-    let config = PipelineConfig::parse_kv(required(artifact, KEY_CONFIG)?)
-        .map_err(|e| ModelError::Meta(format!("config: {e}")))?;
-    let meta = PipelineMeta {
-        max_len: required(artifact, KEY_MAX_LEN)?
-            .parse()
-            .map_err(|e| ModelError::Meta(format!("bad {KEY_MAX_LEN}: {e}")))?,
-        latent_scale: parse_f32_bits(KEY_LATENT_SCALE, required(artifact, KEY_LATENT_SCALE)?)?,
-        provider: parse_provider_tag(required(artifact, KEY_PROVIDER)?)?,
-        variant: parse_variant_tag(required(artifact, KEY_VARIANT)?)?,
-    };
-    let threads: usize = required(artifact, KEY_THREADS)?
-        .parse()
-        .map_err(|e| ModelError::Meta(format!("bad {KEY_THREADS}: {e}")))?;
-    let vocab: Vec<String> =
-        required(artifact, KEY_VOCAB)?.split('\n').map(str::to_string).collect();
-
-    let mut blobs: [Vec<u8>; 5] = Default::default();
-    for (slot, module) in blobs.iter_mut().zip(MODULE_NAMES) {
-        let count_key = module_count_key(module);
-        let count: usize = required(artifact, &count_key)?
-            .parse()
-            .map_err(|e| ModelError::Meta(format!("bad {count_key}: {e}")))?;
-        let tensors: Vec<Tensor> = (0..count)
-            .map(|i| artifact.tensor(&format!("{module}.{i}")))
-            .collect::<Result<_, _>>()?;
-        let refs: Vec<&Tensor> = tensors.iter().collect();
-        *slot = aero_nn::serialize::encode_tensors(&refs).to_vec();
-    }
-
-    Ok(PipelineSnapshot::from_parts(
-        config,
-        meta,
-        ParallelConfig::with_threads(threads),
-        vocab,
-        blobs,
-    ))
 }
 
 /// End-to-end quality cost of q8 quantization for one snapshot: FID and
@@ -308,8 +158,8 @@ impl QualityDelta {
 ///
 /// # Errors
 ///
-/// Propagates export/hydration failures; FID numerical failures surface
-/// as [`ModelError::Meta`].
+/// Propagates hydration failures; FID numerical failures surface as
+/// [`PersistError::Meta`].
 ///
 /// # Panics
 ///
@@ -318,10 +168,10 @@ pub fn quality_delta(
     snapshot: &PipelineSnapshot,
     scenes: usize,
     seed: u64,
-) -> Result<QualityDelta, ModelError> {
+) -> Result<QualityDelta, PersistError> {
     assert!(scenes > 0, "quality_delta needs at least one eval scene");
-    let (bytes, _) = export_snapshot(snapshot, Quantization::Q8)?;
-    let q8_snapshot = snapshot_from_artifact(&ModelArtifact::from_bytes(bytes)?)?;
+    let (bytes, _) = export_snapshot(snapshot, DType::Q8);
+    let q8_snapshot = PipelineSnapshot::from_artifact(&ModelArtifact::from_bytes(bytes)?)?;
 
     let config = *snapshot.config();
     let ds = build_dataset(&DatasetConfig {
@@ -333,12 +183,12 @@ pub fn quality_delta(
     let real: Vec<Tensor> = ds.items.iter().map(|it| it.rendered.image.to_tensor()).collect();
     let extractor = FeatureExtractor::new(config.vision.base_channels.max(4));
 
-    let run = |snap: &PipelineSnapshot| -> Result<(f32, f32), ModelError> {
+    let run = |snap: &PipelineSnapshot| -> Result<(f32, f32), PersistError> {
         let pipeline = snap.hydrate()?;
         let images = pipeline.generate_eval(&ds, &mut StdRng::seed_from_u64(seed));
         let gen: Vec<Tensor> = images.iter().map(aero_scene::Image::to_tensor).collect();
         let fid_score = fid(&extractor, &real, &gen)
-            .map_err(|e| ModelError::Meta(format!("fid failed: {e}")))?;
+            .map_err(|e| PersistError::Meta(format!("fid failed: {e}")))?;
         let captions: Vec<String> = ds
             .items
             .iter()

@@ -21,10 +21,8 @@
 //! artifact's own trailing CRC is verified before any decode) and the
 //! old model keeps serving.
 
-use crate::format::ModelArtifact;
-use crate::ModelError;
+use aero_nn::amdl::{ModelArtifact, PersistError, FORMAT_VERSION};
 use aero_nn::integrity::{crc32, write_atomic};
-use aerodiffusion::PIPELINE_FORMAT_VERSION;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -88,7 +86,7 @@ impl ModelRegistry {
     ///
     /// Propagates directory-creation failures; a malformed existing
     /// index surfaces from the first read-path call instead.
-    pub fn open(dir: &Path) -> Result<ModelRegistry, ModelError> {
+    pub fn open(dir: &Path) -> Result<ModelRegistry, PersistError> {
         fs::create_dir_all(dir)?;
         Ok(ModelRegistry { dir: dir.to_path_buf() })
     }
@@ -107,10 +105,10 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Meta`] on a malformed index,
-    /// [`ModelError::VersionMismatch`] on an index written by an
+    /// [`PersistError::Meta`] on a malformed index,
+    /// [`PersistError::VersionMismatch`] on an index written by an
     /// unsupported format version.
-    pub fn entries(&self) -> Result<Vec<RegistryEntry>, ModelError> {
+    pub fn entries(&self) -> Result<Vec<RegistryEntry>, PersistError> {
         let path = self.index_path();
         if !path.exists() {
             return Ok(Vec::new());
@@ -121,11 +119,11 @@ impl ModelRegistry {
         let version: u32 = header
             .strip_prefix("version=")
             .and_then(|v| v.parse().ok())
-            .ok_or_else(|| ModelError::Meta(format!("index header malformed: {header:?}")))?;
-        if version != PIPELINE_FORMAT_VERSION {
-            return Err(ModelError::VersionMismatch {
+            .ok_or_else(|| PersistError::Meta(format!("index header malformed: {header:?}")))?;
+        if version != FORMAT_VERSION {
+            return Err(PersistError::VersionMismatch {
                 found: version,
-                supported: PIPELINE_FORMAT_VERSION,
+                supported: FORMAT_VERSION,
             });
         }
         let mut entries = Vec::new();
@@ -135,24 +133,26 @@ impl ModelRegistry {
             }
             let fields: Vec<&str> = line.split_whitespace().collect();
             let [name, ver, file, crc, len] = fields.as_slice() else {
-                return Err(ModelError::Meta(format!("index entry malformed: {line:?}")));
+                return Err(PersistError::Meta(format!("index entry malformed: {line:?}")));
             };
             entries.push(RegistryEntry {
                 name: (*name).to_string(),
                 version: ver
                     .parse()
-                    .map_err(|e| ModelError::Meta(format!("index version field: {e}")))?,
+                    .map_err(|e| PersistError::Meta(format!("index version field: {e}")))?,
                 file: (*file).to_string(),
                 crc32: u32::from_str_radix(crc, 16)
-                    .map_err(|e| ModelError::Meta(format!("index crc field: {e}")))?,
-                len: len.parse().map_err(|e| ModelError::Meta(format!("index len field: {e}")))?,
+                    .map_err(|e| PersistError::Meta(format!("index crc field: {e}")))?,
+                len: len
+                    .parse()
+                    .map_err(|e| PersistError::Meta(format!("index len field: {e}")))?,
             });
         }
         Ok(entries)
     }
 
-    fn write_index(&self, entries: &[RegistryEntry]) -> Result<(), ModelError> {
-        let mut out = format!("version={PIPELINE_FORMAT_VERSION}\n");
+    fn write_index(&self, entries: &[RegistryEntry]) -> Result<(), PersistError> {
+        let mut out = format!("version={FORMAT_VERSION}\n");
         for e in entries {
             out.push_str(&format!(
                 "{} {} {} {:08x} {}\n",
@@ -172,9 +172,9 @@ impl ModelRegistry {
     ///
     /// Rejects invalid names and bytes that do not verify as an
     /// artifact; propagates I/O failures.
-    pub fn publish(&self, name: &str, bytes: &[u8]) -> Result<RegistryEntry, ModelError> {
+    pub fn publish(&self, name: &str, bytes: &[u8]) -> Result<RegistryEntry, PersistError> {
         if !valid_name(name) {
-            return Err(ModelError::Meta(format!(
+            return Err(PersistError::Meta(format!(
                 "invalid model name {name:?} (ascii alphanumeric, '-', '_', '.' only)"
             )));
         }
@@ -203,16 +203,16 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Meta`] when no matching entry exists.
-    pub fn resolve(&self, name: &str, version: Option<u32>) -> Result<RegistryEntry, ModelError> {
+    /// [`PersistError::Meta`] when no matching entry exists.
+    pub fn resolve(&self, name: &str, version: Option<u32>) -> Result<RegistryEntry, PersistError> {
         let entries = self.entries()?;
         let found = match version {
             Some(v) => entries.into_iter().find(|e| e.name == name && e.version == v),
             None => entries.into_iter().filter(|e| e.name == name).max_by_key(|e| e.version),
         };
         found.ok_or_else(|| match version {
-            Some(v) => ModelError::Meta(format!("no model {name}@{v} in registry")),
-            None => ModelError::Meta(format!("no model named {name} in registry")),
+            Some(v) => PersistError::Meta(format!("no model {name}@{v} in registry")),
+            None => PersistError::Meta(format!("no model named {name} in registry")),
         })
     }
 
@@ -229,7 +229,7 @@ impl ModelRegistry {
     ///
     /// Propagates I/O failures other than the file being absent (which
     /// is [`IntegrityState::Missing`], not an error).
-    pub fn verify(&self, entry: &RegistryEntry) -> Result<IntegrityState, ModelError> {
+    pub fn verify(&self, entry: &RegistryEntry) -> Result<IntegrityState, PersistError> {
         let path = self.path_of(entry);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -270,7 +270,7 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// I/O, CRC, version, or structural failures — all typed.
-    pub fn open_artifact(&self, entry: &RegistryEntry) -> Result<ModelArtifact, ModelError> {
+    pub fn open_artifact(&self, entry: &RegistryEntry) -> Result<ModelArtifact, PersistError> {
         ModelArtifact::read(&self.path_of(entry))
     }
 }
@@ -278,7 +278,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::ArtifactBuilder;
+    use aero_nn::amdl::ArtifactBuilder;
 
     fn artifact_bytes(tag: &str) -> Vec<u8> {
         let mut b = ArtifactBuilder::new();
@@ -307,11 +307,14 @@ mod tests {
     #[test]
     fn invalid_names_and_garbage_bytes_are_rejected() {
         let reg = temp_registry("reject");
-        assert!(matches!(reg.publish("has space", &artifact_bytes("x")), Err(ModelError::Meta(_))));
-        assert!(matches!(reg.publish("", &artifact_bytes("x")), Err(ModelError::Meta(_))));
+        assert!(matches!(
+            reg.publish("has space", &artifact_bytes("x")),
+            Err(PersistError::Meta(_))
+        ));
+        assert!(matches!(reg.publish("", &artifact_bytes("x")), Err(PersistError::Meta(_))));
         assert!(matches!(
             reg.publish("fine", b"not an artifact at all"),
-            Err(ModelError::Corrupt { .. })
+            Err(PersistError::Corrupt { .. })
         ));
         assert!(reg.entries().unwrap().is_empty());
     }
@@ -328,7 +331,7 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(reg.verify(&entry).unwrap(), IntegrityState::Corrupt { .. }));
         // …and actually opening it trips the artifact's own CRC too.
-        assert!(matches!(reg.open_artifact(&entry), Err(ModelError::Corrupt { .. })));
+        assert!(matches!(reg.open_artifact(&entry), Err(PersistError::Corrupt { .. })));
         fs::remove_file(&path).unwrap();
         assert_eq!(reg.verify(&entry).unwrap(), IntegrityState::Missing);
     }
@@ -337,10 +340,10 @@ mod tests {
     fn malformed_index_is_typed() {
         let reg = temp_registry("badindex");
         reg.publish("m", &artifact_bytes("v")).unwrap();
-        let header = format!("version={PIPELINE_FORMAT_VERSION}");
+        let header = format!("version={FORMAT_VERSION}");
         fs::write(reg.dir().join("index.txt"), format!("{header}\nonly three fields\n")).unwrap();
-        assert!(matches!(reg.entries(), Err(ModelError::Meta(_))));
+        assert!(matches!(reg.entries(), Err(PersistError::Meta(_))));
         fs::write(reg.dir().join("index.txt"), "version=42\n").unwrap();
-        assert!(matches!(reg.entries(), Err(ModelError::VersionMismatch { found: 42, .. })));
+        assert!(matches!(reg.entries(), Err(PersistError::VersionMismatch { found: 42, .. })));
     }
 }

@@ -3,10 +3,8 @@
 //! artifacts hit the size budget, and corrupted files are rejected with
 //! typed errors before any decode.
 
-use aero_model::{
-    snapshot_from_artifact, write_snapshot, IntegrityState, ModelArtifact, ModelError,
-    ModelRegistry, Quantization,
-};
+use aero_model::{write_snapshot, IntegrityState, ModelRegistry};
+use aero_nn::amdl::{DType, ModelArtifact, PersistError};
 use aero_scene::{build_dataset, AerialDataset, DatasetConfig, SceneGeneratorConfig};
 use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot};
 use rand::rngs::StdRng;
@@ -43,24 +41,24 @@ fn f32_artifact_round_trip_samples_byte_identically() {
     let dir = temp_dir("f32_round_trip");
     let path = dir.join("model.amdl");
 
-    let report = write_snapshot(&snapshot, Quantization::F32, &path).unwrap();
+    let report = write_snapshot(&snapshot, DType::F32, &path).unwrap();
     assert_eq!(report.max_abs_error, 0.0, "f32 export is lossless");
 
     // Export must be byte-stable: same snapshot, same bytes.
     let first = fs::read(&path).unwrap();
-    write_snapshot(&snapshot, Quantization::F32, &path).unwrap();
+    write_snapshot(&snapshot, DType::F32, &path).unwrap();
     assert_eq!(first, fs::read(&path).unwrap(), "export must be deterministic");
 
     let artifact = ModelArtifact::read(&path).unwrap();
     assert!(artifact.is_mapped(), "file load should take the mmap path");
-    let reloaded = snapshot_from_artifact(&artifact).unwrap();
+    let reloaded = PipelineSnapshot::from_artifact(&artifact).unwrap();
 
-    // The reassembled snapshot carries the exact weight bytes…
-    for ((name_a, blob_a), (name_b, blob_b)) in
-        snapshot.module_blobs().iter().zip(reloaded.module_blobs().iter())
+    // The reassembled snapshot carries the exact weights…
+    for ((name_a, tensors_a), (name_b, tensors_b)) in
+        snapshot.module_tensors().iter().zip(reloaded.module_tensors().iter())
     {
         assert_eq!(name_a, name_b);
-        assert_eq!(blob_a, blob_b, "module {name_a} must round trip byte-identically");
+        assert_eq!(tensors_a, tensors_b, "module {name_a} must round trip byte-identically");
     }
 
     // …so replicas hydrated from either source sample identically.
@@ -77,8 +75,8 @@ fn q8_artifact_meets_size_budget_and_hydrates() {
     let f32_path = dir.join("model-f32.amdl");
     let q8_path = dir.join("model-q8.amdl");
 
-    write_snapshot(&snapshot, Quantization::F32, &f32_path).unwrap();
-    let report = write_snapshot(&snapshot, Quantization::Q8, &q8_path).unwrap();
+    write_snapshot(&snapshot, DType::F32, &f32_path).unwrap();
+    let report = write_snapshot(&snapshot, DType::Q8, &q8_path).unwrap();
 
     // The smoke preset's layers are narrower than one q8 block (rows of
     // 4–8 elements), so per-block scale overhead dominates; the ≤30%
@@ -98,7 +96,7 @@ fn q8_artifact_meets_size_budget_and_hydrates() {
 
     // A q8 snapshot is lossy but must still hydrate and sample finitely.
     let artifact = ModelArtifact::read(&q8_path).unwrap();
-    let replica = snapshot_from_artifact(&artifact).unwrap().hydrate().unwrap();
+    let replica = PipelineSnapshot::from_artifact(&artifact).unwrap().hydrate().unwrap();
     let img = replica.generate(&ds.items[0], &mut StdRng::seed_from_u64(3));
     let t = img.to_tensor();
     assert!(t.as_slice().iter().all(|v| v.is_finite()));
@@ -106,7 +104,7 @@ fn q8_artifact_meets_size_budget_and_hydrates() {
 
 #[test]
 fn q8_meets_size_budget_at_realistic_layer_widths() {
-    use aero_model::ArtifactBuilder;
+    use aero_nn::amdl::ArtifactBuilder;
     use aero_tensor::{Q8Tensor, Tensor};
     use rand::Rng;
 
@@ -140,7 +138,7 @@ fn corrupted_artifacts_are_rejected_with_typed_errors() {
     let (_ds, _pipeline, snapshot) = trained();
     let dir = temp_dir("corruption");
     let path = dir.join("model.amdl");
-    write_snapshot(&snapshot, Quantization::Q8, &path).unwrap();
+    write_snapshot(&snapshot, DType::Q8, &path).unwrap();
     let good = fs::read(&path).unwrap();
 
     // Single bit flip anywhere (sampled positions) trips the CRC.
@@ -148,7 +146,7 @@ fn corrupted_artifacts_are_rejected_with_typed_errors() {
         let mut bad = good.clone();
         bad[pos] ^= 0x04;
         match ModelArtifact::from_bytes(bad) {
-            Err(ModelError::Corrupt { .. } | ModelError::VersionMismatch { .. }) => {}
+            Err(PersistError::Corrupt { .. } | PersistError::VersionMismatch { .. }) => {}
             other => panic!("bit flip at {pos} must be rejected, got {other:?}"),
         }
     }
@@ -156,7 +154,7 @@ fn corrupted_artifacts_are_rejected_with_typed_errors() {
     // Truncation at any sampled length is rejected, never a panic.
     for len in (0..good.len()).step_by(good.len() / 17 + 1) {
         let err = ModelArtifact::from_bytes(good[..len].to_vec()).unwrap_err();
-        assert!(matches!(err, ModelError::Corrupt { .. }), "truncated to {len}: {err:?}");
+        assert!(matches!(err, PersistError::Corrupt { .. }), "truncated to {len}: {err:?}");
     }
 }
 
@@ -166,14 +164,14 @@ fn registry_publishes_and_serves_real_artifacts() {
     let dir = temp_dir("registry");
     let registry = ModelRegistry::open(&dir).unwrap();
 
-    let (bytes, _report) = aero_model::export_snapshot(&snapshot, Quantization::F32).unwrap();
+    let (bytes, _report) = aero_model::export_snapshot(&snapshot, DType::F32);
     let entry = registry.publish("smoke", &bytes).unwrap();
     assert_eq!((entry.name.as_str(), entry.version), ("smoke", 1));
     assert_eq!(registry.verify(&entry).unwrap(), IntegrityState::Verified);
 
     let resolved = registry.resolve("smoke", None).unwrap();
     let artifact = registry.open_artifact(&resolved).unwrap();
-    let replica = snapshot_from_artifact(&artifact).unwrap().hydrate().unwrap();
+    let replica = PipelineSnapshot::from_artifact(&artifact).unwrap().hydrate().unwrap();
     let a = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(29));
     let b = replica.generate(&ds.items[0], &mut StdRng::seed_from_u64(29));
     assert_eq!(a, b, "registry-served model must sample like the original");

@@ -1,29 +1,13 @@
-//! On-disk integrity primitives shared by every persistence layer.
-//!
-//! Three building blocks keep saved state trustworthy without any
-//! external dependency:
+//! On-disk integrity primitives under the [`crate::amdl`] container.
 //!
 //! - [`crc32`] — a hand-rolled CRC-32 (IEEE 802.3, reflected) over a
-//!   compile-time table, so a bit flip anywhere in a blob is detected;
+//!   compile-time table, so a bit flip anywhere in a file is detected;
 //! - [`write_atomic`] — tmp-file-plus-rename writes, so a crash mid-save
-//!   never leaves a half-written file under the final name;
-//! - [`Manifest`] — a `manifest.txt` format recording a format version
-//!   and the CRC32 + length of every blob in a directory, verified
-//!   before anything is decoded.
-//!
-//! `aerodiffusion::persist` (model directories) and
-//! `aero_diffusion::checkpoint` (training checkpoints) both build on
-//! these, so corruption surfaces as one typed [`IntegrityError`] instead
-//! of a garbage model.
+//!   never leaves a half-written file under the final name.
 
-use std::error::Error;
-use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-
-/// The manifest format version this build reads and writes.
-pub const MANIFEST_VERSION: u32 = 1;
 
 /// The CRC-32 lookup table (IEEE 802.3 reflected polynomial 0xEDB88320),
 /// generated at compile time — no runtime init, no network, no deps.
@@ -68,216 +52,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// Why a manifest failed to parse or verify.
-#[derive(Debug)]
-pub enum IntegrityError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// The manifest text itself is malformed or truncated.
-    Malformed(String),
-    /// The manifest was written by an unsupported format version.
-    VersionMismatch {
-        /// The version recorded in the manifest.
-        found: u32,
-        /// The version this build supports.
-        supported: u32,
-    },
-    /// A blob listed in the manifest fails its checksum or length.
-    Corrupt {
-        /// The file that failed verification.
-        file: String,
-        /// What exactly mismatched.
-        detail: String,
-    },
-}
-
-impl fmt::Display for IntegrityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IntegrityError::Io(e) => write!(f, "i/o failure: {e}"),
-            IntegrityError::Malformed(d) => write!(f, "malformed manifest: {d}"),
-            IntegrityError::VersionMismatch { found, supported } => {
-                write!(f, "manifest version {found} unsupported (this build reads {supported})")
-            }
-            IntegrityError::Corrupt { file, detail } => {
-                write!(f, "corrupt blob {file}: {detail}")
-            }
-        }
-    }
-}
-
-impl Error for IntegrityError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            IntegrityError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for IntegrityError {
-    fn from(e: io::Error) -> Self {
-        IntegrityError::Io(e)
-    }
-}
-
-/// One blob recorded in a manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    /// File name relative to the manifest's directory.
-    pub name: String,
-    /// CRC-32 of the file's bytes.
-    pub crc32: u32,
-    /// File length in bytes.
-    pub len: u64,
-}
-
-/// A directory manifest: format version plus per-blob checksums.
-///
-/// The text form is line-oriented and order-preserving:
-///
-/// ```text
-/// version=1
-/// <crc32 hex8> <len> <name>
-/// …
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
-    /// The format version the directory was written with.
-    pub version: u32,
-    /// One entry per verified blob.
-    pub entries: Vec<ManifestEntry>,
-}
-
-impl Manifest {
-    /// Builds a manifest over named files in `dir` by hashing each one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures reading any listed file.
-    pub fn for_files(dir: &Path, names: &[&str]) -> Result<Self, IntegrityError> {
-        let mut entries = Vec::with_capacity(names.len());
-        for name in names {
-            let bytes = fs::read(dir.join(name))?;
-            entries.push(ManifestEntry {
-                name: (*name).to_string(),
-                crc32: crc32(&bytes),
-                len: bytes.len() as u64,
-            });
-        }
-        Ok(Manifest { version: MANIFEST_VERSION, entries })
-    }
-
-    /// Renders the line-oriented text form.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = format!("version={}\n", self.version);
-        for e in &self.entries {
-            out.push_str(&format!("{:08x} {} {}\n", e.crc32, e.len, e.name));
-        }
-        out
-    }
-
-    /// Parses the text form, validating structure but not blob contents.
-    ///
-    /// # Errors
-    ///
-    /// [`IntegrityError::Malformed`] on a missing/garbled version line or a
-    /// truncated entry line; [`IntegrityError::VersionMismatch`] when the
-    /// recorded version is not the one this build reads.
-    pub fn parse(text: &str) -> Result<Self, IntegrityError> {
-        let mut lines = text.lines();
-        let version_line =
-            lines.next().ok_or_else(|| IntegrityError::Malformed("empty manifest".into()))?;
-        let version: u32 = version_line
-            .strip_prefix("version=")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| {
-                IntegrityError::Malformed(format!(
-                    "first line must be version=<n>, got {version_line:?}"
-                ))
-            })?;
-        if version != MANIFEST_VERSION {
-            return Err(IntegrityError::VersionMismatch {
-                found: version,
-                supported: MANIFEST_VERSION,
-            });
-        }
-        let mut entries = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ' ');
-            let (crc, len, name) = (parts.next(), parts.next(), parts.next());
-            let entry = match (crc, len, name) {
-                (Some(c), Some(l), Some(n)) if !n.is_empty() => {
-                    let crc32 = u32::from_str_radix(c, 16).map_err(|_| {
-                        IntegrityError::Malformed(format!("bad checksum field in {line:?}"))
-                    })?;
-                    let len = l.parse().map_err(|_| {
-                        IntegrityError::Malformed(format!("bad length field in {line:?}"))
-                    })?;
-                    ManifestEntry { name: n.to_string(), crc32, len }
-                }
-                _ => {
-                    return Err(IntegrityError::Malformed(format!(
-                        "truncated manifest entry {line:?}"
-                    )))
-                }
-            };
-            entries.push(entry);
-        }
-        Ok(Manifest { version, entries })
-    }
-
-    /// Reads and parses `dir/manifest.txt`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures plus everything [`Manifest::parse`] rejects.
-    pub fn read(dir: &Path) -> Result<Self, IntegrityError> {
-        Self::parse(&fs::read_to_string(dir.join("manifest.txt"))?)
-    }
-
-    /// Writes `dir/manifest.txt` atomically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write(&self, dir: &Path) -> Result<(), IntegrityError> {
-        write_atomic(&dir.join("manifest.txt"), self.render().as_bytes())?;
-        Ok(())
-    }
-
-    /// Verifies every listed blob in `dir` against its recorded length
-    /// and checksum.
-    ///
-    /// # Errors
-    ///
-    /// [`IntegrityError::Corrupt`] naming the first blob whose bytes do
-    /// not match; [`IntegrityError::Io`] if a listed blob is unreadable.
-    pub fn verify_dir(&self, dir: &Path) -> Result<(), IntegrityError> {
-        for e in &self.entries {
-            let bytes = fs::read(dir.join(&e.name))?;
-            if bytes.len() as u64 != e.len {
-                return Err(IntegrityError::Corrupt {
-                    file: e.name.clone(),
-                    detail: format!("length {} != recorded {}", bytes.len(), e.len),
-                });
-            }
-            let got = crc32(&bytes);
-            if got != e.crc32 {
-                return Err(IntegrityError::Corrupt {
-                    file: e.name.clone(),
-                    detail: format!("crc32 {:08x} != recorded {:08x}", got, e.crc32),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,47 +79,5 @@ mod tests {
         write_atomic(&path, b"payload").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"payload");
         assert!(!dir.join("blob.bin.tmp").exists(), "tmp file must be renamed away");
-    }
-
-    #[test]
-    fn manifest_round_trips_and_verifies() {
-        let dir = std::env::temp_dir().join("aero_nn_integrity_manifest");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("a.bin"), b"alpha").unwrap();
-        fs::write(dir.join("b.bin"), b"beta").unwrap();
-        let m = Manifest::for_files(&dir, &["a.bin", "b.bin"]).unwrap();
-        m.write(&dir).unwrap();
-        let back = Manifest::read(&dir).unwrap();
-        assert_eq!(back, m);
-        back.verify_dir(&dir).unwrap();
-    }
-
-    #[test]
-    fn verify_catches_a_flipped_bit() {
-        let dir = std::env::temp_dir().join("aero_nn_integrity_flip");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("w.bin"), b"weights-weights-weights").unwrap();
-        let m = Manifest::for_files(&dir, &["w.bin"]).unwrap();
-        let mut bytes = fs::read(dir.join("w.bin")).unwrap();
-        bytes[3] ^= 0x10;
-        fs::write(dir.join("w.bin"), bytes).unwrap();
-        match m.verify_dir(&dir) {
-            Err(IntegrityError::Corrupt { file, .. }) => assert_eq!(file, "w.bin"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parse_rejects_truncation_and_bad_versions() {
-        assert!(matches!(Manifest::parse(""), Err(IntegrityError::Malformed(_))));
-        assert!(matches!(Manifest::parse("garbage\n"), Err(IntegrityError::Malformed(_))));
-        assert!(matches!(
-            Manifest::parse("version=1\ndeadbeef 12"),
-            Err(IntegrityError::Malformed(_))
-        ));
-        assert!(matches!(
-            Manifest::parse("version=99\n"),
-            Err(IntegrityError::VersionMismatch { found: 99, supported: MANIFEST_VERSION })
-        ));
     }
 }

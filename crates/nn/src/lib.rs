@@ -11,8 +11,9 @@
 //! models are assembled from — [`layers::Linear`], [`layers::Conv2d`],
 //! [`layers::ConvTranspose2d`], [`layers::Embedding`],
 //! [`layers::LayerNorm`], [`layers::GroupNorm`], and
-//! [`layers::MultiHeadAttention`] — plus weight (de)serialization and a
-//! finite-difference gradient checker used throughout the test suite.
+//! [`layers::MultiHeadAttention`] — plus the workspace's one on-disk
+//! container ([`amdl`]) and a finite-difference gradient checker used
+//! throughout the test suite.
 //!
 //! # Example
 //!
@@ -26,13 +27,14 @@
 //! assert_eq!(x.grad().expect("gradient").as_slice(), &[4.0]);
 //! ```
 
+pub mod amdl;
 mod autograd;
 pub mod gradcheck;
 pub mod init;
 pub mod integrity;
 pub mod layers;
+mod mmap;
 pub mod optim;
-pub mod serialize;
 
 pub use aero_tensor::sym::{Dim, ShapeSpec};
 pub use autograd::Var;
@@ -40,7 +42,7 @@ pub use autograd::Var;
 /// Trait for anything that owns trainable parameters.
 ///
 /// Implementors return their parameters in a stable order so that
-/// optimizers and the weight serializer agree on the layout.
+/// optimizers and saved artifacts agree on the layout.
 pub trait Module {
     /// All trainable parameters, in a stable deterministic order.
     fn params(&self) -> Vec<Var>;

@@ -4,8 +4,8 @@
 //! [`Adam`] implements that with decoupled weight decay (AdamW-style) so
 //! the decay setting matches the reference configuration.
 
+use crate::amdl::PersistError;
 use crate::autograd::Var;
-use crate::serialize::{decode_tensors, encode_tensors, LoadWeightsError};
 use aero_tensor::Tensor;
 
 /// A serializable snapshot of Adam's adaptive state: the bias-correction
@@ -21,37 +21,6 @@ pub struct AdamState {
     pub m: Vec<Tensor>,
     /// Second-moment estimates, one per parameter.
     pub v: Vec<Tensor>,
-}
-
-impl AdamState {
-    /// Encodes the moments as one weight blob (`m` tensors then `v`
-    /// tensors); the step counter travels separately in checkpoint
-    /// metadata.
-    #[must_use]
-    pub fn moments_bytes(&self) -> Vec<u8> {
-        let refs: Vec<&Tensor> = self.m.iter().chain(self.v.iter()).collect();
-        encode_tensors(&refs).to_vec()
-    }
-
-    /// Rebuilds the state from [`AdamState::moments_bytes`] output plus
-    /// the externally stored step counter.
-    ///
-    /// # Errors
-    ///
-    /// [`LoadWeightsError::Corrupt`] on a malformed blob,
-    /// [`LoadWeightsError::Mismatch`] when the blob does not hold an even
-    /// number of tensors.
-    pub fn from_moments_bytes(blob: &[u8], step: u64) -> Result<Self, LoadWeightsError> {
-        let mut tensors = decode_tensors(blob)?;
-        if tensors.len() % 2 != 0 {
-            return Err(LoadWeightsError::Mismatch(format!(
-                "adam moment blob holds {} tensors, expected an even count",
-                tensors.len()
-            )));
-        }
-        let v = tensors.split_off(tensors.len() / 2);
-        Ok(AdamState { step, m: tensors, v })
-    }
 }
 
 /// Adam optimizer with optional decoupled weight decay.
@@ -169,12 +138,12 @@ impl Adam {
     ///
     /// # Errors
     ///
-    /// [`LoadWeightsError::Mismatch`] when the moment count or any moment
+    /// [`PersistError::Weights`] when the moment count or any moment
     /// shape disagrees with this optimizer's parameters; the optimizer is
     /// left untouched on error.
-    pub fn restore_state(&mut self, state: AdamState) -> Result<(), LoadWeightsError> {
+    pub fn restore_state(&mut self, state: AdamState) -> Result<(), PersistError> {
         if state.m.len() != self.params.len() || state.v.len() != self.params.len() {
-            return Err(LoadWeightsError::Mismatch(format!(
+            return Err(PersistError::Weights(format!(
                 "adam state holds {}+{} moments for {} parameters",
                 state.m.len(),
                 state.v.len(),
@@ -184,7 +153,7 @@ impl Adam {
         for (i, p) in self.params.iter().enumerate() {
             let shape = p.shape();
             if state.m[i].shape() != shape || state.v[i].shape() != shape {
-                return Err(LoadWeightsError::Mismatch(format!(
+                return Err(PersistError::Weights(format!(
                     "adam moment {i} shape {:?}/{:?} does not match parameter shape {shape:?}",
                     state.m[i].shape(),
                     state.v[i].shape()
@@ -249,8 +218,8 @@ mod tests {
     }
 
     /// The checkpoint contract: restoring exported state (through the
-    /// byte codec) continues training on the exact same trajectory, bit
-    /// for bit, as never having stopped.
+    /// `.amdl` container) continues training on the exact same
+    /// trajectory, bit for bit, as never having stopped.
     #[test]
     fn state_round_trip_continues_training_bit_identically() {
         let quad_step = |p: &Var, opt: &mut Adam| {
@@ -265,7 +234,12 @@ mod tests {
         }
         let saved_params = p.to_tensor();
         let state = opt.export_state();
-        let blob = state.moments_bytes();
+        let mut builder = crate::amdl::ArtifactBuilder::new();
+        for (i, (m, v)) in state.m.iter().zip(&state.v).enumerate() {
+            builder.add_f32(&format!("m.{i}"), m);
+            builder.add_f32(&format!("v.{i}"), v);
+        }
+        let blob = builder.to_bytes();
         let saved_step = state.step;
 
         // Reference: the uninterrupted run.
@@ -277,7 +251,13 @@ mod tests {
         // Resumed: fresh parameter + optimizer, state restored from bytes.
         let q = Var::parameter(saved_params);
         let mut opt2 = Adam::new(vec![q.clone()], 0.07).with_weight_decay(1e-3);
-        opt2.restore_state(AdamState::from_moments_bytes(&blob, saved_step).unwrap()).unwrap();
+        let stored = crate::amdl::ModelArtifact::from_bytes(blob).unwrap();
+        let restored = AdamState {
+            step: saved_step,
+            m: stored.tensors("m", 1).unwrap(),
+            v: stored.tensors("v", 1).unwrap(),
+        };
+        opt2.restore_state(restored).unwrap();
         for _ in 0..25 {
             quad_step(&q, &mut opt2);
         }

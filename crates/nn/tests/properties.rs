@@ -169,12 +169,14 @@ proptest! {
 
     #[test]
     fn serialization_round_trip_any_shapes(dims in prop::collection::vec(1usize..5, 1..4), seed in 0u64..300) {
-        use aero_nn::serialize::{decode_tensors, encode_params, load_into_params};
+        use aero_nn::amdl::{load_into_params, ArtifactBuilder, ModelArtifact};
         let mut rng = StdRng::seed_from_u64(seed);
         let p = Var::parameter(Tensor::randn(&dims, &mut rng));
-        let blob = encode_params(std::slice::from_ref(&p));
+        let mut builder = ArtifactBuilder::new();
+        builder.add_params("p", std::slice::from_ref(&p));
+        let stored = ModelArtifact::from_bytes(builder.to_bytes()).unwrap().tensors("p", 1).unwrap();
         let q = Var::parameter(Tensor::zeros(&dims));
-        load_into_params(std::slice::from_ref(&q), decode_tensors(&blob).unwrap()).unwrap();
+        load_into_params(std::slice::from_ref(&q), &stored).unwrap();
         prop_assert_eq!(p.to_tensor(), q.to_tensor());
     }
 }

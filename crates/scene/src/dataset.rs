@@ -6,7 +6,6 @@ use crate::raster::{AnnotatedImage, Rasterizer};
 use crate::types::{SceneKind, SceneSpec, TimeOfDay};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One dataset entry: the ground-truth spec plus its render.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,7 +59,7 @@ impl AerialDataset {
 }
 
 /// Configuration for [`build_dataset`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetConfig {
     /// Number of scenes to generate.
     pub n_scenes: usize,
@@ -96,13 +95,13 @@ pub fn build_dataset(config: &DatasetConfig) -> AerialDataset {
     let n_threads = aero_tensor::parallel::suggested_threads(8);
     let chunk = config.n_scenes.div_ceil(n_threads).max(1);
     let mut items: Vec<Option<DatasetItem>> = vec![None; config.n_scenes];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (tid, slot_chunk) in items.chunks_mut(chunk).enumerate() {
             let generator = &generator;
             let rasterizer = &rasterizer;
             let base = tid * chunk;
             let seed = config.seed;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (k, slot) in slot_chunk.iter_mut().enumerate() {
                     let idx = base + k;
                     let mut rng = StdRng::seed_from_u64(
@@ -114,8 +113,7 @@ pub fn build_dataset(config: &DatasetConfig) -> AerialDataset {
                 }
             });
         }
-    })
-    .expect("dataset worker panicked");
+    });
     AerialDataset {
         items: items.into_iter().map(|i| i.expect("all slots filled")).collect(),
         image_size: config.image_size,
@@ -149,7 +147,7 @@ pub fn build_classical_dataset(n_scenes: usize, image_size: usize, seed: u64) ->
 }
 
 /// Summary statistics of objects-per-image (the Fig. 1 histogram).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectCountStats {
     /// Minimum objects in any image.
     pub min: usize,

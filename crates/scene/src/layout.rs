@@ -2,10 +2,9 @@
 
 use crate::types::{ObjectClass, SceneKind, SceneObject, SceneSpec, TimeOfDay, Viewpoint};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A straight road segment in world coordinates (`[0, 1]²`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoadSegment {
     /// Start point.
     pub start: (f32, f32),
@@ -60,7 +59,7 @@ impl RoadSegment {
 }
 
 /// Axis-aligned world-space rectangle (used for buildings and stalls).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorldRect {
     /// Centre x.
     pub cx: f32,
@@ -75,7 +74,7 @@ pub struct WorldRect {
 }
 
 /// A circular feature (tree canopy or pond).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorldCircle {
     /// Centre x.
     pub cx: f32,
@@ -86,7 +85,7 @@ pub struct WorldCircle {
 }
 
 /// Static scene furniture: roads, buildings, trees, optional water.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Layout {
     /// Road segments (drawn below everything else).
     pub roads: Vec<RoadSegment>,
@@ -101,7 +100,7 @@ pub struct Layout {
 }
 
 /// Configuration of the scene generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneGeneratorConfig {
     /// Minimum annotated objects per scene (paper: ~20).
     pub min_objects: usize,

@@ -3,13 +3,12 @@
 use crate::layout::Layout;
 use crate::types::{Annotation, BBox, SceneSpec, TimeOfDay, Viewpoint};
 use aero_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
 
 /// An RGB image with `f32` channels in `[0, 1]`, stored channel-major
 /// (`[3, h, w]`, matching the tensor layout the models consume).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     width: usize,
     height: usize,
@@ -209,7 +208,7 @@ impl Image {
 /// representable as a 3×3 matrix with last row `[0, 0, 1]`. This is the
 /// cross-view warp prior used by the view-translation workload: warp the
 /// source view into the target view's frame before conditioning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Homography {
     /// Row-major 3×3 matrix; maps homogeneous `(x, y, 1)` pixel coords.
     pub m: [[f32; 3]; 3],
@@ -299,7 +298,7 @@ fn invert_affine(m: &[[f32; 3]; 3]) -> [[f32; 3]; 3] {
 }
 
 /// A rendered scene: the image plus its pixel-space annotations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnotatedImage {
     /// The rendered RGB image.
     pub image: Image,

@@ -1,10 +1,9 @@
 //! Core scene vocabulary: object classes, boxes, viewpoints, specs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Annotated object categories, mirroring the VisDrone-DET label set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ObjectClass {
     /// A person on foot.
     Pedestrian,
@@ -110,7 +109,7 @@ impl fmt::Display for ObjectClass {
 }
 
 /// Lighting condition of the scene.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TimeOfDay {
     /// Daylight: full palette, soft shadows.
     #[default]
@@ -130,7 +129,7 @@ impl TimeOfDay {
 }
 
 /// Scene archetype controlling the procedural layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SceneKind {
     /// A multi-lane highway with dense traffic and a neighbourhood edge.
     Highway,
@@ -181,7 +180,7 @@ impl fmt::Display for SceneKind {
 /// `altitude` ∈ `[0.3, 1.0]` controls zoom (1.0 = highest, widest view);
 /// `pitch_deg` ∈ `[30, 90]` is the camera tilt (90° = straight down);
 /// `heading_deg` rotates the view around the vertical axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Viewpoint {
     /// Normalized altitude in `[0.3, 1.0]`.
     pub altitude: f32,
@@ -225,7 +224,7 @@ impl Viewpoint {
 }
 
 /// One annotated object in world coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneObject {
     /// Object category.
     pub class: ObjectClass,
@@ -240,7 +239,7 @@ pub struct SceneObject {
 }
 
 /// Axis-aligned bounding box in pixel coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BBox {
     /// Left edge (inclusive).
     pub x0: f32,
@@ -310,7 +309,7 @@ impl BBox {
 }
 
 /// One detection-style annotation: class + pixel box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Annotation {
     /// Object category.
     pub class: ObjectClass,
@@ -319,7 +318,7 @@ pub struct Annotation {
 }
 
 /// Complete ground-truth description of one scene.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneSpec {
     /// Scene archetype.
     pub kind: SceneKind,

@@ -1,8 +1,8 @@
 //! A minimal JSON value, parser, and writer.
 //!
-//! The build environment vendors `serde` as a no-op shim (no data format is
-//! available offline), so the serving protocol carries its own ~200-line
-//! JSON implementation: enough for newline-delimited request/response
+//! The build environment vendors no serde (no data format is available
+//! offline), so the serving protocol carries its own ~200-line JSON
+//! implementation: enough for newline-delimited request/response
 //! objects — nested containers, escapes, and numbers — with stable key
 //! order on output.
 

@@ -281,7 +281,9 @@ impl TaskEnvelope {
         let steps = match t.get("steps") {
             None => None,
             Some(s) => Some(
-                s.as_u64().ok_or_else(|| "\"task.steps\" must be a positive integer".to_string())?
+                s.as_u64()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| "\"task.steps\" must be a positive integer".to_string())?
                     as usize,
             ),
         };
@@ -445,10 +447,12 @@ impl GenerateRequest {
         };
         let steps = match v.get("steps") {
             None => None,
-            Some(s) => {
-                Some(s.as_u64().ok_or_else(|| "\"steps\" must be a positive integer".to_string())?
-                    as usize)
-            }
+            Some(s) => Some(
+                s.as_u64()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| "\"steps\" must be a positive integer".to_string())?
+                    as usize,
+            ),
         };
         let deadline = match v.get("deadline_ms") {
             None => None,
@@ -735,6 +739,13 @@ mod tests {
         assert_eq!(r.guidance_scale, Some(3.5));
         assert_eq!(r.steps, Some(12));
         assert_eq!(r.deadline, Some(Duration::from_millis(250)));
+        // Zero steps is not a positive integer, at either level.
+        for line in
+            [r#"{"prompt":"x","steps":0}"#, r#"{"prompt":"x","task":{"kind":"text","steps":0}}"#]
+        {
+            let err = GenerateRequest::from_json(&Json::parse(line).unwrap(), "f").unwrap_err();
+            assert!(err.contains("must be a positive integer"), "{line}: {err}");
+        }
     }
 
     #[test]

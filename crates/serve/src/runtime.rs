@@ -75,12 +75,13 @@ use crate::request::{
 use crate::router::ShardRouter;
 use crate::stats::{StatsCollector, StatsReport};
 use aero_diffusion::{CancelSignal, CancelToken, DdimSampler, LatentPin, StepEvent, StepSink};
-use aero_model::{
-    snapshot_from_artifact, IntegrityState, ModelArtifact, ModelError, ModelRegistry, RegistryEntry,
-};
+use aero_model::{IntegrityState, ModelRegistry, RegistryEntry};
+use aero_nn::amdl::ModelArtifact;
 use aero_scene::{build_dataset, DatasetConfig, DatasetItem, SceneGeneratorConfig};
 use aero_tensor::Tensor;
-use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot, TaskKind, TaskSpec};
+use aerodiffusion::{
+    AeroDiffusionPipeline, PersistError, PipelineConfig, PipelineSnapshot, TaskKind, TaskSpec,
+};
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -519,15 +520,15 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Meta`] when no registry is attached or its index is
+    /// [`PersistError::Meta`] when no registry is attached or its index is
     /// malformed.
-    pub fn list_models(&self) -> Result<Vec<(RegistryEntry, IntegrityState)>, ModelError> {
+    pub fn list_models(&self) -> Result<Vec<(RegistryEntry, IntegrityState)>, PersistError> {
         let registry = self
             .registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-            .ok_or_else(|| ModelError::Meta("no model registry attached".into()))?;
+            .ok_or_else(|| PersistError::Meta("no model registry attached".into()))?;
         let entries = registry.entries()?;
         let mut out = Vec::with_capacity(entries.len());
         for entry in entries {
@@ -561,15 +562,15 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Meta`] when no registry is attached or the name does
-    /// not resolve; [`ModelError::Corrupt`] /
-    /// [`ModelError::VersionMismatch`] when the artifact fails
+    /// [`PersistError::Meta`] when no registry is attached or the name does
+    /// not resolve; [`PersistError::Corrupt`] /
+    /// [`PersistError::VersionMismatch`] when the artifact fails
     /// verification.
     pub fn swap_from_registry(
         &self,
         name: &str,
         version: Option<u32>,
-    ) -> Result<SwapOutcome, ModelError> {
+    ) -> Result<SwapOutcome, PersistError> {
         let ordinal = self.next_swap_ordinal.fetch_add(1, Ordering::SeqCst);
         let result = self.try_swap_from_registry(name, version, ordinal);
         if result.is_err() {
@@ -583,13 +584,13 @@ impl ServeRuntime {
         name: &str,
         version: Option<u32>,
         swap_ordinal: u64,
-    ) -> Result<SwapOutcome, ModelError> {
+    ) -> Result<SwapOutcome, PersistError> {
         let registry = self
             .registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-            .ok_or_else(|| ModelError::Meta("no model registry attached".into()))?;
+            .ok_or_else(|| PersistError::Meta("no model registry attached".into()))?;
         let entry = registry.resolve(name, version)?;
         let mut bytes = std::fs::read(registry.path_of(&entry))?;
         if let Some(SwapFault::CorruptArtifact) =
@@ -603,7 +604,7 @@ impl ServeRuntime {
         // CRC and structural verification happen here, before anything
         // reaches the model slot.
         let artifact = ModelArtifact::from_bytes(bytes)?;
-        let snapshot = snapshot_from_artifact(&artifact)?;
+        let snapshot = PipelineSnapshot::from_artifact(&artifact)?;
         let generation = self.swap_snapshot(snapshot);
         *self.active_model.lock().unwrap_or_else(PoisonError::into_inner) =
             Some((entry.name.clone(), entry.version));

@@ -262,7 +262,12 @@ fn read_loop(
                     ]))
                 }
                 "generate" => match GenerateRequest::from_json(&v, &fallback_id) {
-                    Err(detail) => Entry::Immediate(bad_request(&fallback_id, &detail)),
+                    // Echo the client's id when the line carries one, so
+                    // the rejection can be matched to its request.
+                    Err(detail) => {
+                        let id = v.get("id").and_then(Json::as_str).unwrap_or(&fallback_id);
+                        Entry::Immediate(bad_request(id, &detail))
+                    }
                     Ok(request) => {
                         let id = request.id.clone();
                         match runtime.submit(request) {

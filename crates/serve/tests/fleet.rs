@@ -179,8 +179,7 @@ fn registry_with_alt(tag: &str) -> aero_model::ModelRegistry {
     let dir = std::env::temp_dir().join(format!("aero_serve_fleet_registry_{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     let registry = aero_model::ModelRegistry::open(&dir).unwrap();
-    let (bytes, _report) =
-        aero_model::export_snapshot(alt_snapshot(), aero_model::Quantization::F32).unwrap();
+    let (bytes, _report) = aero_model::export_snapshot(alt_snapshot(), aero_nn::amdl::DType::F32);
     registry.publish("alt", &bytes).unwrap();
     registry
 }

@@ -328,6 +328,28 @@ fn seeded_chaos_plan_resolves_every_request() {
     assert_eq!(stats.completed, images);
 }
 
+/// A generate line that parses as JSON but fails validation is rejected
+/// under the client's own id, so the client can match the rejection.
+#[test]
+fn invalid_generate_line_is_rejected_with_the_clients_id() {
+    let input = concat!(
+        r#"{"type":"generate","id":"c-1","prompt":"x","steps":"x"}"#,
+        "\n",
+        r#"{"type":"generate","id":"c-2","prompt":"x","steps":0}"#,
+        "\n",
+    );
+    let runtime = ServeRuntime::start(snapshot().clone(), serve_config());
+    let mut output = Vec::new();
+    serve_ndjson(runtime, Cursor::new(input), &mut output).unwrap();
+    let lines: Vec<Json> =
+        String::from_utf8(output).unwrap().lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(lines.len(), 2);
+    for (line, id) in lines.iter().zip(["c-1", "c-2"]) {
+        assert_eq!(line.get("reason").and_then(Json::as_str), Some("bad_request"));
+        assert_eq!(line.get("id").and_then(Json::as_str), Some(id));
+    }
+}
+
 #[test]
 fn ndjson_round_trip_preserves_order_and_reports_stats() {
     let input = concat!(
@@ -483,8 +505,7 @@ fn registry_with_alt(tag: &str) -> aero_model::ModelRegistry {
     let dir = std::env::temp_dir().join(format!("aero_serve_registry_{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     let registry = aero_model::ModelRegistry::open(&dir).unwrap();
-    let (bytes, _report) =
-        aero_model::export_snapshot(alt_snapshot(), aero_model::Quantization::F32).unwrap();
+    let (bytes, _report) = aero_model::export_snapshot(alt_snapshot(), aero_nn::amdl::DType::F32);
     registry.publish("alt", &bytes).unwrap();
     registry
 }
@@ -542,7 +563,7 @@ fn corrupt_artifact_swap_is_rejected_and_the_old_model_keeps_serving() {
         .collect();
     let err = runtime.swap_from_registry("alt", None).unwrap_err();
     assert!(
-        matches!(err, aero_model::ModelError::Corrupt { .. }),
+        matches!(err, aerodiffusion::PersistError::Corrupt { .. }),
         "corrupt artifact must fail typed, got {err:?}"
     );
     assert_eq!(plan.remaining(), 0, "the swap fault fired");

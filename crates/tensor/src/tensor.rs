@@ -5,7 +5,6 @@ use crate::shape::{
 };
 use crate::TensorError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An owned, contiguous, row-major `f32` tensor of arbitrary rank.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let y = x.map(|v| v * 2.0);
 /// assert_eq!(y.as_slice(), &[2.0, 4.0, 6.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,

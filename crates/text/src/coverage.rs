@@ -6,10 +6,9 @@
 
 use crate::tokenizer::tokenize_words;
 use aero_scene::{ObjectClass, SceneSpec};
-use serde::{Deserialize, Serialize};
 
 /// Coverage of scene keypoints by a caption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoverageReport {
     /// Caption states the correct time of day.
     pub mentions_time: bool,

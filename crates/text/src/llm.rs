@@ -12,10 +12,9 @@
 use crate::prompt::PromptTemplate;
 use aero_scene::{ObjectClass, SceneSpec, TimeOfDay, Viewpoint};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Fidelity profile of a simulated captioner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaptionProfile {
     /// Probability a requested keypoint (time/viewpoint/layout/positions)
     /// actually appears in the output.
@@ -29,7 +28,7 @@ pub struct CaptionProfile {
 }
 
 /// The captioners compared in Table II, plus the paper's own pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlmProvider {
     /// AeroDiffusion's keypoint-aware generation (chain-of-thought over
     /// ground-truth object lists): complete and faithful.

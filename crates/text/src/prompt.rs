@@ -1,10 +1,9 @@
 //! Prompt templates contrasted in Fig. 3 of the paper.
 
 use aero_scene::SceneSpec;
-use serde::{Deserialize, Serialize};
 
 /// Which keypoints a prompt instructs the captioner to cover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeypointSet {
     /// Time of day / atmospheric conditions.
     pub time_of_day: bool,
@@ -40,7 +39,7 @@ impl KeypointSet {
 
 /// A captioning prompt: the instruction text plus the keypoints it asks
 /// the model to cover.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PromptTemplate {
     /// Human-readable prompt name ("traditional", "keypoint-aware").
     pub name: String,

@@ -1,6 +1,5 @@
 //! Whitespace/punctuation tokenizer and corpus-built vocabulary.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Special token: padding.
@@ -16,7 +15,7 @@ pub const EOS: &str = "<eos>";
 ///
 /// Ids 0–3 are reserved for the special tokens in order
 /// `<pad>, <unk>, <bos>, <eos>`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocabulary {
     word_to_id: HashMap<String, usize>,
     id_to_word: Vec<String>,
@@ -91,7 +90,7 @@ pub fn tokenize_words(text: &str) -> Vec<String> {
 ///
 /// Sequences are `<bos> w… <eos>` truncated/padded to `max_len` — the
 /// paper limits captions to 120 tokens; small-scale presets use less.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tokenizer {
     vocab: Vocabulary,
     max_len: usize,

@@ -26,10 +26,12 @@
 //! aerodiffusion_cli model list    <registry-dir>
 //! ```
 //!
-//! `model export` packs a persisted pipeline directory into one
-//! CRC-protected `.amdl` artifact — dense `f32` by default, `--q8` for
-//! block-quantized weights (~28% of the dense payload) with a per-layer
-//! quantization-error report on stderr. With `--registry`/`--name` the
+//! A model directory holds one CRC-protected `.amdl` artifact,
+//! `pipeline.amdl`; `info` prints its metadata and tensor table.
+//! `model export` re-stores a saved pipeline as a standalone artifact —
+//! dense `f32` by default (byte-identical to `pipeline.amdl`), `--q8`
+//! for block-quantized weights (~28% of the dense payload) with a
+//! per-layer quantization-error report on stderr. With `--registry`/`--name` the
 //! artifact is also published into a versioned registry that `serve
 //! --registry` can hot-swap from. `--quality-scenes N` additionally
 //! measures the q8-vs-f32 FID and CLIP-score deltas on an N-scene
@@ -107,9 +109,8 @@
 //! smoke-scale pipeline in-process instead of loading one from disk.
 
 use aero_diffusion::{DdimSampler, StepSink};
-use aero_model::{
-    snapshot_from_artifact, write_snapshot, ModelArtifact, ModelRegistry, Quantization,
-};
+use aero_model::{write_snapshot, ModelRegistry};
+use aero_nn::amdl::{DType, ModelArtifact};
 use aero_scene::{
     build_dataset, Annotation, BBox, DatasetConfig, DatasetItem, Homography, Image, ObjectClass,
     SceneGeneratorConfig, Viewpoint,
@@ -530,7 +531,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
             let (name, version) = parse_model_spec(spec)?;
             let entry = registry.resolve(name, version)?;
             eprintln!("booting registry model {}@{}", entry.name, entry.version);
-            snapshot_from_artifact(&registry.open_artifact(&entry)?)?
+            PipelineSnapshot::from_artifact(&registry.open_artifact(&entry)?)?
         }
         (None, Some(_)) => return Err("--model requires --registry".into()),
         _ => serve_snapshot(args, scale_config(args))?,
@@ -670,16 +671,16 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if args.iter().any(|a| a == "--all") {
         // Config-independent: the checkpoint/persistence integrity
-        // machinery (CRC32, manifest round-trip, version gating).
+        // machinery (CRC32, artifact round-trip, version gating).
         let report = aerodiffusion::lint_checkpoint();
         println!("== checkpoint ==");
         print!("{}", report.render());
         failed |= !report.is_clean();
-        // Source-level: all eight token-level passes over the workspace
+        // Source-level: all seven token-level passes over the workspace
         // tree (AD0110/AD0111 kernel discipline, AD0112 backend
-        // dispatch, AD0113 deprecated condition API, AD0200 lock order,
-        // AD0201 atomics, AD0202 determinism, AD0203 worker panics). A
-        // no-op away from a checkout.
+        // dispatch, AD0200 lock order, AD0201 atomics, AD0202
+        // determinism, AD0203 worker panics). A no-op away from a
+        // checkout.
         let source_root = parse_flag(args, "--source-root").unwrap_or_else(|| ".".to_string());
         let report = aerodiffusion::lint_source_all(std::path::Path::new(&source_root));
         println!("== source ==");
@@ -708,18 +709,7 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 fn cmd_info(args: &[String]) -> Result<(), Box<dyn Error>> {
     let dir = args.first().ok_or("info requires a model directory")?;
-    let meta = std::fs::read_to_string(std::path::Path::new(dir).join("meta.txt"))?;
-    let vocab = std::fs::read_to_string(std::path::Path::new(dir).join("vocab.txt"))?;
-    println!("pipeline at {dir}:");
-    for line in meta.lines() {
-        println!("  {line}");
-    }
-    println!("  vocabulary: {} entries", vocab.lines().count());
-    for f in ["clip.aero", "vae.aero", "detector.aero", "condition.aero", "unet.aero"] {
-        let size = std::fs::metadata(std::path::Path::new(dir).join(f))?.len();
-        println!("  {f}: {size} bytes");
-    }
-    Ok(())
+    print_artifact(&std::path::Path::new(dir).join(aerodiffusion::PIPELINE_FILE))
 }
 
 fn cmd_model(args: &[String]) -> Result<(), Box<dyn Error>> {
@@ -731,7 +721,7 @@ fn cmd_model(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
 }
 
-/// Packs a persisted pipeline directory into one `.amdl` artifact,
+/// Exports a saved pipeline as a standalone `.amdl` artifact,
 /// optionally quantized, optionally published into a registry, with the
 /// per-layer quantization-error report on stderr.
 fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
@@ -739,7 +729,7 @@ fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
     let dir = args.first().ok_or("model export requires a model directory")?;
     let out = args.get(1).ok_or("model export requires an output .amdl path")?;
     let config = scale_config(args);
-    let quant = if args.iter().any(|a| a == "--q8") { Quantization::Q8 } else { Quantization::F32 };
+    let quant = if args.iter().any(|a| a == "--q8") { DType::Q8 } else { DType::F32 };
     let snapshot = AeroDiffusionPipeline::load(dir, config)?.snapshot();
     let report = write_snapshot(&snapshot, quant, std::path::Path::new(out))?;
     println!(
@@ -748,7 +738,7 @@ fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
         quant.tag(),
         report.size_ratio() * 100.0
     );
-    if quant == Quantization::Q8 {
+    if quant == DType::Q8 {
         eprintln!("per-layer quantization error (max_abs / mean_abs):");
         for layer in &report.layers {
             eprintln!(
@@ -784,12 +774,17 @@ fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Verifies and prints one artifact: metadata section plus tensor table.
 fn cmd_model_inspect(args: &[String]) -> Result<(), Box<dyn Error>> {
     let path = args.first().ok_or("model inspect requires an artifact path")?;
-    let artifact = ModelArtifact::read(std::path::Path::new(path))?;
+    print_artifact(std::path::Path::new(path))
+}
+
+/// Verifies and prints one artifact: metadata section plus tensor table.
+fn print_artifact(path: &std::path::Path) -> Result<(), Box<dyn Error>> {
+    let artifact = ModelArtifact::read(path)?;
     println!(
-        "{path}: {} bytes, checksum verified, {}",
+        "{}: {} bytes, checksum verified, {}",
+        path.display(),
         artifact.file_len(),
         if artifact.is_mapped() { "memory-mapped" } else { "buffered read" }
     );

@@ -55,10 +55,12 @@
 #                      threshold-free bench_tasks liveness run
 #                      (BENCH_TASKS_SMOKE=1) asserting per-task
 #                      determinism
-#   9. model smokes  — the trained model exported to a single `.amdl`
-#                      artifact, inspected (CRC verified), published into
-#                      a registry, and served from it with a sample
-#                      byte-identical to the directory loader's; a
+#   9. model smokes  — the trained model exported to a single f32 `.amdl`
+#                      artifact that must be byte-identical to the
+#                      `pipeline.amdl` that `train` saved (one writer),
+#                      inspected (CRC verified), published into a
+#                      registry, and served from it with a sample
+#                      byte-identical to the saved pipeline's; a
 #                      one-bit-flipped copy must be rejected with a typed
 #                      corruption error; plus a bench_model liveness run
 #                      (BENCH_MODEL_SMOKE=1) asserting q8 < f32 size and
@@ -280,13 +282,16 @@ echo "== thread smoke: bench_kernels liveness =="
 BENCH_KERNELS_SMOKE=1 cargo run --offline -q -p aero-bench --bin bench_kernels
 
 echo "== model smoke: export → inspect → reload → byte-identical sample =="
-# Pack the fault-smoke model into a single f32 artifact, verify it loads
-# (CRC + header decode via `inspect`), publish it into a registry, and
-# require a sample served straight off the artifact to be byte-identical
-# to the directory loader's.
+# Export the fault-smoke model as a single f32 artifact — byte-identical
+# to the pipeline.amdl that `train` saved, both at default kernel flags,
+# so there is one writer — verify it loads (CRC + header decode via
+# `inspect`), publish it into a registry, and require a sample served
+# straight off the artifact to be byte-identical to the saved pipeline's.
 cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
   model export "$work/model" "$work/model.amdl" \
   --registry "$work/registry" --name smoke
+cmp "$work/model/pipeline.amdl" "$work/model.amdl" \
+  || { echo "model smoke: f32 export differs from the saved pipeline"; exit 1; }
 inspect_out="$(cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
   model inspect "$work/model.amdl")"
 echo "$inspect_out" | grep -q 'checksum verified' \
@@ -297,7 +302,7 @@ cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
   model list "$work/registry" | grep -q 'smoke@1 .*verified' \
   || { echo "model smoke: registry list missing a verified smoke@1"; exit 1; }
 # Byte-compare: the NDJSON server booted from the registry artifact must
-# produce the exact image the directory-loaded server produces (only the
+# produce the exact image the saved-pipeline server produces (only the
 # latency telemetry may differ between runs, so compare the pixels).
 req='{"type":"generate","id":"ci-m","prompt":"an aerial view of a park","seed":41}'
 pixels() { sed -n 's/.*"rgb8_b64":"\([^"]*\)".*/\1/p'; }
@@ -309,7 +314,7 @@ amdl_img="$(printf '%s\n' "$req" \
       serve --workers 1 --steps 4 --registry "$work/registry" --model smoke@1 \
   | pixels)"
 [ -n "$dir_img" ] && [ "$dir_img" = "$amdl_img" ] \
-  || { echo "model smoke: artifact-served sample differs from directory-served"; exit 1; }
+  || { echo "model smoke: artifact-served sample differs from the saved pipeline's"; exit 1; }
 
 echo "== model smoke: a corrupt artifact is rejected typed =="
 cp "$work/model.amdl" "$work/model-corrupt.amdl"
