@@ -2,28 +2,24 @@
 //!
 //! Every problem the analyzer can detect has a stable `AD`-prefixed code so
 //! that CI scripts and docs can refer to it unambiguously. Codes in the
-//! `AD00xx` range come from the static shape pass; codes in the `AD01xx`
-//! range come from the autograd-graph linter and the kernel-callsite
-//! scans; codes in the `AD02xx` range come from the token-level
-//! concurrency and determinism analyses.
+//! `AD00xx` range come from configuration validation; codes in the
+//! `AD01xx` range come from the autograd-graph linter and the
+//! panicking-kernel scan; codes in the `AD02xx` range come from the
+//! token-level concurrency and determinism analyses.
+//!
+//! A code whose check is removed is retired and never reused: `AD0001`
+//! to `AD0003`, `AD0110` and `AD0112` are retired.
 
 use std::fmt;
 
 /// Stable identifier for one class of problem the analyzer detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagCode {
-    /// `AD0001`: two tensor shapes that must agree (matmul inner dims,
-    /// conv channels, declared vs. inferred dimensions) do not.
-    ShapeMismatch,
-    /// `AD0002`: elementwise operands cannot be broadcast together.
-    BroadcastConflict,
-    /// `AD0003`: a reshape changes the (symbolic) element count.
-    ReshapeMismatch,
     /// `AD0004`: a dimension must divide another (attention heads,
-    /// pooling windows, token splits) but does not.
+    /// stride-2 stages) but does not.
     DivisibilityViolation,
-    /// `AD0005`: a configuration value is unusable before any shape
-    /// algebra runs (zero channels, zero image size, ...).
+    /// `AD0005`: a configuration value is unusable (zero channels, zero
+    /// image size, zero batch, ...).
     InvalidConfig,
     /// `AD0101`: a declared trainable parameter is unreachable from the
     /// loss — `backward()` will never populate its gradient.
@@ -40,24 +36,11 @@ pub enum DiagCode {
     /// `AD0105`: a multiplication by an all-zero constant makes an
     /// entire differentiable branch dead.
     DeadBranch,
-    /// `AD0110`: production code calls a serial reference kernel
-    /// (`matmul_serial`, `conv2d_serial`) instead of the sharded
-    /// parallel entry points. The serial kernels exist only as
-    /// equivalence oracles for the tensor crate's own tests.
-    SerialKernelBypass,
     /// `AD0111`: long-lived serving code (`aero-serve`, the core
     /// pipeline crate) calls a panicking tensor kernel directly instead
     /// of its `try_*` variant. A shape mismatch there must surface as a
     /// typed reply, not take a worker down.
     PanickingKernelCall,
-    /// `AD0112`: code outside the tensor crate names a concrete compute
-    /// backend (`ReferenceBackend`, `BlockedBackend`) or calls a
-    /// per-slab backend kernel (`matmul_slab`, …) directly instead of
-    /// going through the dispatched ops. Backend choice is a process
-    /// policy (`BackendKind` + `set_global_backend`/`with_backend`);
-    /// hard-wiring an implementation bypasses both the policy and the
-    /// sharding layer.
-    BackendBypass,
     /// `AD0200`: two lock acquisitions form a cycle in the workspace's
     /// lock-order graph — function A holds lock X while taking Y, and
     /// some path (possibly through calls) holds Y while taking X. Two
@@ -86,9 +69,6 @@ impl DiagCode {
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
-            DiagCode::ShapeMismatch => "AD0001",
-            DiagCode::BroadcastConflict => "AD0002",
-            DiagCode::ReshapeMismatch => "AD0003",
             DiagCode::DivisibilityViolation => "AD0004",
             DiagCode::InvalidConfig => "AD0005",
             DiagCode::DetachedParameter => "AD0101",
@@ -96,9 +76,7 @@ impl DiagCode {
             DiagCode::UnclampedLn => "AD0103",
             DiagCode::NanProneOp => "AD0104",
             DiagCode::DeadBranch => "AD0105",
-            DiagCode::SerialKernelBypass => "AD0110",
             DiagCode::PanickingKernelCall => "AD0111",
-            DiagCode::BackendBypass => "AD0112",
             DiagCode::LockOrderCycle => "AD0200",
             DiagCode::AtomicOrderingAudit => "AD0201",
             DiagCode::NondeterministicPath => "AD0202",
@@ -110,9 +88,6 @@ impl DiagCode {
     #[must_use]
     pub fn title(self) -> &'static str {
         match self {
-            DiagCode::ShapeMismatch => "shape mismatch",
-            DiagCode::BroadcastConflict => "broadcast conflict",
-            DiagCode::ReshapeMismatch => "reshape changes element count",
             DiagCode::DivisibilityViolation => "divisibility violation",
             DiagCode::InvalidConfig => "invalid configuration",
             DiagCode::DetachedParameter => "parameter never receives gradients",
@@ -120,11 +95,7 @@ impl DiagCode {
             DiagCode::UnclampedLn => "ln of unclamped input",
             DiagCode::NanProneOp => "NaN-prone arithmetic",
             DiagCode::DeadBranch => "dead differentiable branch",
-            DiagCode::SerialKernelBypass => "serial reference kernel used in production code",
             DiagCode::PanickingKernelCall => "panicking tensor kernel called on a serving path",
-            DiagCode::BackendBypass => {
-                "concrete compute backend hard-wired outside the tensor crate"
-            }
             DiagCode::LockOrderCycle => "lock acquisition order forms a cycle",
             DiagCode::AtomicOrderingAudit => "unaudited relaxed atomic ordering",
             DiagCode::NondeterministicPath => {
@@ -139,15 +110,10 @@ impl DiagCode {
     #[must_use]
     pub fn default_severity(self) -> Severity {
         match self {
-            DiagCode::ShapeMismatch
-            | DiagCode::BroadcastConflict
-            | DiagCode::ReshapeMismatch
-            | DiagCode::DivisibilityViolation
+            DiagCode::DivisibilityViolation
             | DiagCode::InvalidConfig
             | DiagCode::DetachedParameter
-            | DiagCode::SerialKernelBypass
             | DiagCode::PanickingKernelCall
-            | DiagCode::BackendBypass
             | DiagCode::LockOrderCycle
             | DiagCode::PanicInWorker => Severity::Error,
             DiagCode::DetachedSubgraph
@@ -295,9 +261,6 @@ mod tests {
     #[test]
     fn codes_are_stable_and_unique() {
         let all = [
-            DiagCode::ShapeMismatch,
-            DiagCode::BroadcastConflict,
-            DiagCode::ReshapeMismatch,
             DiagCode::DivisibilityViolation,
             DiagCode::InvalidConfig,
             DiagCode::DetachedParameter,
@@ -305,9 +268,7 @@ mod tests {
             DiagCode::UnclampedLn,
             DiagCode::NanProneOp,
             DiagCode::DeadBranch,
-            DiagCode::SerialKernelBypass,
             DiagCode::PanickingKernelCall,
-            DiagCode::BackendBypass,
             DiagCode::LockOrderCycle,
             DiagCode::AtomicOrderingAudit,
             DiagCode::NondeterministicPath,
@@ -323,12 +284,12 @@ mod tests {
     #[test]
     fn report_renders_rustc_style() {
         let mut r = Report::new();
-        r.push(DiagCode::ShapeMismatch, "unet.conv_in", "input has 3 channels, weight expects 4");
+        r.push(DiagCode::DivisibilityViolation, "vision.image_size", "36 is not a multiple of 8");
         r.push(DiagCode::UnclampedLn, "node#7(ln)", "ln input minimum is 0");
         let text = r.render();
-        assert!(text.contains("error[AD0001]"));
+        assert!(text.contains("error[AD0004]"));
         assert!(text.contains("warning[AD0103]"));
-        assert!(text.contains("--> unet.conv_in"));
+        assert!(text.contains("--> vision.image_size"));
         assert!(text.contains("1 error(s), 1 warning(s)"));
         assert!(!r.is_clean());
         assert_eq!(r.error_count(), 1);

@@ -3,21 +3,8 @@
 //! Every pass here matches against the [`crate::token`] stream, so
 //! patterns mentioned inside comments, string literals, or raw strings
 //! can never produce findings — the failure mode of the line-regex scan
-//! this module replaced. Seven passes share one file walk:
+//! this module replaced. Five passes share one file walk:
 //!
-//! - **Serial reference-kernel bypasses** ([`AD0110`]).
-//!   `aero_tensor::ops` keeps `matmul_serial` / `conv2d_serial` around
-//!   as the bit-exact oracles the parallel-equivalence tests compare
-//!   against. Production code must never call them: it would silently
-//!   forfeit the sharded kernel layer on the hot path.
-//! - **Compute-backend bypasses** ([`AD0112`]). Kernel dispatch routes
-//!   through the active `ComputeBackend`; code outside the tensor
-//!   crate must never name a concrete backend (`ReferenceBackend`,
-//!   `BlockedBackend`) or call a per-slab backend kernel
-//!   (`matmul_slab`, …) directly — that hard-wires an implementation
-//!   past both the backend policy and the sharding layer. Selecting a
-//!   policy via `BackendKind` / `set_global_backend` / `with_backend`
-//!   is sanctioned and never flagged.
 //! - **Panicking kernels on serving paths** ([`AD0111`]). Every
 //!   shape-checked tensor op has a `try_*` variant returning
 //!   `TensorError`; long-lived serving code (`aero-serve` and the core
@@ -39,11 +26,9 @@
 //!   worker thread instead of producing a typed reply.
 //!
 //! The lock-order cycle pass ([`AD0200`]) builds on the same walker but
-//! lives in [`crate::lockorder`]; [`lint_source_all`] runs all seven.
+//! lives in [`crate::lockorder`]; [`lint_source_all`] runs all five.
 //!
-//! [`AD0110`]: crate::DiagCode::SerialKernelBypass
 //! [`AD0111`]: crate::DiagCode::PanickingKernelCall
-//! [`AD0112`]: crate::DiagCode::BackendBypass
 //! [`AD0200`]: crate::DiagCode::LockOrderCycle
 //! [`AD0201`]: crate::DiagCode::AtomicOrderingAudit
 //! [`AD0202`]: crate::DiagCode::NondeterministicPath
@@ -54,18 +39,6 @@ use crate::token::{self, FnItem, Token, TokenKind};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Names of the serial reference kernels that only the tensor crate's
-/// own tests may call.
-const SERIAL_KERNELS: [&str; 2] = ["matmul_serial", "conv2d_serial"];
-
-/// Identifiers that hard-wire a concrete compute backend: the backend
-/// types themselves, plus the per-slab kernels of the `ComputeBackend`
-/// trait. Only the tensor crate's dispatch layer may touch these —
-/// everything else must reach compute through the dispatched ops, which
-/// consult the active backend policy.
-const BACKEND_INTERNALS: [&str; 5] =
-    ["ReferenceBackend", "BlockedBackend", "matmul_slab", "q8_matmul_slab", "softmax_slab"];
 
 /// Path components that exempt a file from every source pass:
 /// test/bench trees (which exercise forbidden patterns by design),
@@ -201,73 +174,8 @@ fn code(file: &SourceFile) -> Vec<usize> {
     token::code_indices(&file.tokens)
 }
 
-/// Scans the workspace rooted at `root` for production call sites of the
-/// serial reference kernels, reporting each as `AD0110`.
-///
-/// The tensor crate itself (where the oracles live), `tests/`/`benches/`
-/// trees, `shims/`, and `target/` are exempt; mentions inside comments
-/// and string literals are invisible to the token scan.
-#[must_use]
-pub fn lint_kernel_callsites(root: &Path) -> Report {
-    let mut report = Report::new();
-    for file in &load_workspace(root) {
-        if file.crate_name == "tensor" {
-            continue;
-        }
-        for t in &file.tokens {
-            if t.kind == TokenKind::Ident && SERIAL_KERNELS.contains(&t.text(&file.src)) {
-                let kernel = t.text(&file.src);
-                report.push(
-                    DiagCode::SerialKernelBypass,
-                    file.site(t.line),
-                    format!(
-                        "`{kernel}` is a test-only reference oracle; \
-                         call the parallel entry point instead"
-                    ),
-                );
-            }
-        }
-    }
-    report
-}
-
-/// Scans the workspace rooted at `root` for code outside the tensor
-/// crate that names a concrete compute backend or calls a per-slab
-/// backend kernel directly, reporting each as `AD0112`.
-///
-/// Backend *policy* selection — `BackendKind`, `set_global_backend`,
-/// `with_backend`, the CLI `--backend` flag — is the sanctioned surface
-/// and never matches; only the implementation-level names in
-/// [`BACKEND_INTERNALS`] do. The tensor crate (which owns the dispatch
-/// layer), `tests/`/`benches/` trees, `shims/`, and `target/` are
-/// exempt.
-#[must_use]
-pub fn lint_backend_callsites(root: &Path) -> Report {
-    let mut report = Report::new();
-    for file in &load_workspace(root) {
-        if file.crate_name == "tensor" {
-            continue;
-        }
-        for t in &file.tokens {
-            if t.kind == TokenKind::Ident && BACKEND_INTERNALS.contains(&t.text(&file.src)) {
-                let name = t.text(&file.src);
-                report.push(
-                    DiagCode::BackendBypass,
-                    file.site(t.line),
-                    format!(
-                        "`{name}` hard-wires a concrete compute backend; go through the \
-                         dispatched tensor ops and select policy via `BackendKind` instead"
-                    ),
-                );
-            }
-        }
-    }
-    report
-}
-
 /// Panicking tensor ops that have a `try_*` twin; the scan looks for
-/// `.name(` as adjacent code tokens, so `try_matmul` and
-/// `matmul_serial` never match.
+/// `.name(` as adjacent code tokens, so `try_matmul` never matches.
 const PANICKING_KERNELS: [&str; 10] = [
     "matmul",
     "bmm",
@@ -647,14 +555,12 @@ pub(crate) fn match_paren(file: &SourceFile, code: &[usize], open: usize) -> Opt
     None
 }
 
-/// Runs every source-level pass — AD0110, AD0111, AD0112, AD0200
-/// (lock order), AD0201, AD0202, AD0203 — over the workspace
-/// rooted at `root` and merges the findings into one report.
+/// Runs every source-level pass — AD0111, AD0200 (lock order), AD0201,
+/// AD0202, AD0203 — over the workspace rooted at `root` and merges the
+/// findings into one report.
 #[must_use]
 pub fn lint_source_all(root: &Path) -> Report {
     let mut report = Report::new();
-    report.merge(lint_kernel_callsites(root));
-    report.merge(lint_backend_callsites(root));
     report.merge(lint_panicking_callsites(root));
     report.merge(crate::lockorder::lint_lock_order(root));
     report.merge(lint_atomic_orderings(root));
@@ -673,93 +579,10 @@ mod tests {
     }
 
     #[test]
-    fn flags_serial_kernel_calls_outside_the_tensor_crate() {
-        let root = std::env::temp_dir().join("aero_source_lint_fixture");
-        let _ = fs::remove_dir_all(&root);
-        write(
-            &root.join("crates/vision/src/vae.rs"),
-            "fn f(a: &Tensor, b: &Tensor) -> Tensor {\n    a.matmul_serial(b)\n}\n",
-        );
-        write(
-            &root.join("crates/tensor/src/ops.rs"),
-            "pub fn matmul_serial() {}\npub fn conv2d_serial() {}\n",
-        );
-        write(
-            &root.join("crates/nn/src/layers.rs"),
-            "// matmul_serial is only mentioned in this comment\nfn ok() {}\n",
-        );
-        write(
-            &root.join("crates/nn/tests/equiv.rs"),
-            "fn oracle(a: &Tensor, b: &Tensor) -> Tensor { a.matmul_serial(b) }\n",
-        );
-        let report = lint_kernel_callsites(&root);
-        assert_eq!(report.error_count(), 1, "{}", report.render());
-        assert!(report.has_code(DiagCode::SerialKernelBypass));
-        let site = &report.diagnostics()[0].site;
-        assert!(site.contains("vae.rs:2"), "unexpected site {site}");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn string_literals_no_longer_trip_the_kernel_scan() {
-        // The regression the tokenizer port fixes: the kernel name inside
-        // a string or raw string used to be flagged by the line scan.
-        let root = std::env::temp_dir().join("aero_source_lint_strings");
-        let _ = fs::remove_dir_all(&root);
-        write(
-            &root.join("crates/vision/src/names.rs"),
-            "const ORACLE: &str = \"matmul_serial\";\n\
-             const DOC: &str = r#\"call conv2d_serial for the oracle\"#;\n\
-             fn describe(x: &Tensor) { let _ = x; /* matmul_serial */ }\n",
-        );
-        let report = lint_kernel_callsites(&root);
-        assert!(report.is_clean(), "{}", report.render());
-        assert_eq!(report.diagnostics().len(), 0);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn flags_concrete_backend_use_outside_the_tensor_crate() {
-        let root = std::env::temp_dir().join("aero_backend_lint_fixture");
-        let _ = fs::remove_dir_all(&root);
-        write(
-            &root.join("crates/nn/src/linear.rs"),
-            "fn f(a: &[f32], b: &[f32], out: &mut [f32]) {\n    \
-             BlockedBackend.matmul_slab(a, b, 4, 4, out)\n}\n",
-        );
-        write(
-            &root.join("crates/tensor/src/backend.rs"),
-            "pub struct ReferenceBackend;\npub struct BlockedBackend;\n",
-        );
-        // Policy selection is the sanctioned surface: never flagged.
-        write(
-            &root.join("crates/serve/src/runtime.rs"),
-            "fn g() {\n    aero_tensor::backend::set_global_backend(BackendKind::Blocked);\n}\n\
-             // BlockedBackend may appear in comments\n\
-             const DOC: &str = \"ReferenceBackend is the oracle\";\n",
-        );
-        write(
-            &root.join("crates/nn/tests/equiv.rs"),
-            "fn oracle() { ReferenceBackend.softmax_slab(&mut [], 0); }\n",
-        );
-        let report = lint_backend_callsites(&root);
-        assert_eq!(report.error_count(), 2, "{}", report.render());
-        assert!(report.has_code(DiagCode::BackendBypass));
-        for d in report.diagnostics() {
-            assert!(d.site.contains("linear.rs:2"), "unexpected site {}", d.site);
-        }
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn missing_root_is_clean() {
-        let report = lint_kernel_callsites(Path::new("/nonexistent/aero_source_lint_nowhere"));
-        assert!(report.is_clean());
-        assert_eq!(report.diagnostics().len(), 0);
         let report = lint_panicking_callsites(Path::new("/nonexistent/aero_source_lint_nowhere"));
         assert!(report.is_clean());
-        let report = lint_backend_callsites(Path::new("/nonexistent/aero_source_lint_nowhere"));
-        assert!(report.is_clean());
+        assert_eq!(report.diagnostics().len(), 0);
         let report = lint_source_all(Path::new("/nonexistent/aero_source_lint_nowhere"));
         assert!(report.is_clean());
     }
@@ -791,24 +614,6 @@ mod tests {
         let site = &report.diagnostics()[0].site;
         assert!(site.contains("worker.rs:2"), "unexpected site {site}");
         let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn this_workspace_has_no_bypasses() {
-        // The real tree must stay clean: production code goes through
-        // the sharded kernels only.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let report = lint_kernel_callsites(&root);
-        assert!(report.is_clean(), "{}", report.render());
-    }
-
-    #[test]
-    fn this_workspace_routes_through_backend_dispatch() {
-        // AD0112 on the real tree: no caller outside the tensor crate
-        // hard-wires a concrete compute backend.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let report = lint_backend_callsites(&root);
-        assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Every experiment scale the benchmark harness ships must describe a
-//! statically consistent model: the `aero-analysis` shape pass runs over
-//! the exact pipeline geometry each [`ExperimentScale`] realises, so a
-//! config regression is caught at test time instead of minutes into a
-//! benchmark run.
+//! consistent model: `lint_config` runs over the exact pipeline config
+//! each [`ExperimentScale`] realises, so a config regression is caught at
+//! test time instead of minutes into a benchmark run.
 
 use aero_bench::protocol::ExperimentScale;
 use aerodiffusion::lint_config;

@@ -38,8 +38,7 @@ pub use ablation::{AblationSpec, AblationVariant};
 pub use condition::ConditionNetwork;
 pub use config::PipelineConfig;
 pub use lint::{
-    lint_backend_callsites, lint_checkpoint, lint_config, lint_kernel_callsites,
-    lint_panicking_callsites, lint_source_all, Baseline, BaselineDiff,
+    lint_checkpoint, lint_config, lint_panicking_callsites, lint_source_all, Baseline, BaselineDiff,
 };
 pub use persist::{
     parse_provider_tag, parse_variant_tag, provider_tag, variant_tag, PersistError, PipelineMeta,

@@ -1,21 +1,16 @@
-//! Pre-flight static validation of a [`PipelineConfig`].
+//! Pre-flight validation of a [`PipelineConfig`].
 //!
-//! [`lint_config`] builds the [`aero_analysis::PipelineShapeDesc`] the
-//! pipeline constructor would realise — the same vision geometry, the
-//! same `C = [C_xg; C_g; f̂_X]` condition concatenation, and the exact
-//! [`UnetConfig`] that [`crate::pipeline::AeroDiffusionPipeline::fit`]
-//! instantiates — and replays every matmul, convolution, reshape, and
-//! broadcast symbolically. A misconfigured stack is reported with stable
-//! `ADxxxx` diagnostics in seconds instead of panicking minutes into
-//! training.
+//! [`lint_config`] checks the few arithmetic rules the real modules
+//! impose on a configuration, so a misconfigured stack is reported with
+//! stable `ADxxxx` diagnostics before anything trains. The rules are
+//! proved against the modules themselves: the `config_lint_matches_model`
+//! test builds the VAE, CLIP, BLIP and UNet for a sweep of configs and
+//! requires that a config lints clean exactly when they run.
 
 use crate::config::PipelineConfig;
-use aero_analysis::{PipelineShapeDesc, Report, ShapeCtx};
+use aero_analysis::{DiagCode, Report};
 
-pub use aero_analysis::{
-    lint_backend_callsites, lint_kernel_callsites, lint_panicking_callsites, lint_source_all,
-    Baseline, BaselineDiff,
-};
+pub use aero_analysis::{lint_panicking_callsites, lint_source_all, Baseline, BaselineDiff};
 use aero_diffusion::UnetConfig;
 use aero_vision::vae::LATENT_CHANNELS;
 
@@ -34,19 +29,52 @@ pub fn unet_config(config: &PipelineConfig) -> UnetConfig {
     }
 }
 
-/// The shape description of the full pipeline `config` would realise.
-#[must_use]
-pub fn pipeline_desc(config: &PipelineConfig) -> PipelineShapeDesc {
-    let latent_side = config.vision.image_size / 4;
-    PipelineShapeDesc::new(&config.vision, &unet_config(config), latent_side)
-}
-
-/// Statically validates `config`, returning the full diagnostic report.
+/// Validates `config`, returning the full diagnostic report:
+///
+/// - every vision size is positive (`AD0005` at `vision`);
+/// - `image_size` is a multiple of 8, because the VAE's two stride-2
+///   stages and the UNet's stride-2 downsample must round-trip through
+///   upsampling (`AD0004` at `vision.image_size`);
+/// - `embed_dim` is a multiple of [`aero_vision::VisionConfig::attention_heads`]
+///   (`AD0004` at `vision.embed_dim`).
 #[must_use]
 pub fn lint_config(config: &PipelineConfig) -> Report {
-    let mut ctx = ShapeCtx::new();
-    pipeline_desc(config).check(&mut ctx);
-    ctx.into_report()
+    let mut report = Report::new();
+    let v = &config.vision;
+    if [v.image_size, v.base_channels, v.embed_dim, v.max_text_len].contains(&0) {
+        report.push(
+            DiagCode::InvalidConfig,
+            "vision",
+            format!(
+                "image_size ({}), base_channels ({}), embed_dim ({}) and max_text_len ({}) \
+                 must all be positive",
+                v.image_size, v.base_channels, v.embed_dim, v.max_text_len
+            ),
+        );
+    }
+    if !v.image_size.is_multiple_of(8) {
+        report.push(
+            DiagCode::DivisibilityViolation,
+            "vision.image_size",
+            format!(
+                "image_size ({}) must be a multiple of 8: two stride-2 VAE stages and the \
+                 UNet's stride-2 downsample must round-trip through upsampling",
+                v.image_size
+            ),
+        );
+    }
+    let heads = v.attention_heads();
+    if !v.embed_dim.is_multiple_of(heads) {
+        report.push(
+            DiagCode::DivisibilityViolation,
+            "vision.embed_dim",
+            format!(
+                "embed_dim ({}) must be a multiple of its {heads} attention heads",
+                v.embed_dim
+            ),
+        );
+    }
+    report
 }
 
 /// Self-checks the persistence integrity machinery: the CRC32
@@ -57,52 +85,50 @@ pub fn lint_config(config: &PipelineConfig) -> Report {
 /// verifies them up front.
 #[must_use]
 pub fn lint_checkpoint() -> Report {
-    use aero_analysis::DiagCode;
     use aero_nn::amdl::{ArtifactBuilder, ModelArtifact, PersistError};
     use aero_nn::integrity::crc32;
-    let mut ctx = ShapeCtx::new();
-    ctx.scoped("checkpoint", |ctx| {
-        ctx.require(
-            crc32(b"123456789") == 0xCBF4_3926,
-            DiagCode::InvalidConfig,
-            "crc32 must match the IEEE 802.3 check vector 0xCBF43926",
-        );
-        ctx.require(crc32(b"") == 0, DiagCode::InvalidConfig, "crc32 of empty input must be 0");
-        let mut builder = ArtifactBuilder::new();
-        builder.set("step", "42");
-        builder.add_f32("param.0", &aero_tensor::Tensor::ones(&[3]));
-        let bytes = builder.to_bytes();
-        ctx.require(
-            ModelArtifact::from_bytes(bytes.clone()).is_ok_and(|a| {
-                a.value("step") == Some("42")
-                    && a.tensor("param.0").is_ok_and(|t| t.as_slice() == [1.0; 3])
-            }),
-            DiagCode::InvalidConfig,
-            "an artifact must round-trip its metadata and tensors losslessly",
-        );
-        ctx.require(
-            matches!(
-                ModelArtifact::from_bytes(bytes[..bytes.len() - 1].to_vec()),
-                Err(PersistError::Corrupt { .. })
-            ),
-            DiagCode::InvalidConfig,
-            "a truncated artifact must be rejected as Corrupt",
-        );
-        let mut future = bytes;
-        future[4..8].copy_from_slice(&999u32.to_le_bytes());
-        let end = future.len() - 4;
-        let crc = crc32(&future[..end]);
-        future[end..].copy_from_slice(&crc.to_le_bytes());
-        ctx.require(
-            matches!(
-                ModelArtifact::from_bytes(future),
-                Err(PersistError::VersionMismatch { found: 999, .. })
-            ),
-            DiagCode::InvalidConfig,
-            "unsupported format versions must be rejected as VersionMismatch",
-        );
-    });
-    ctx.into_report()
+    let mut report = Report::new();
+    let mut require = |ok: bool, message: &str| {
+        if !ok {
+            report.push(DiagCode::InvalidConfig, "checkpoint", message);
+        }
+    };
+    require(
+        crc32(b"123456789") == 0xCBF4_3926,
+        "crc32 must match the IEEE 802.3 check vector 0xCBF43926",
+    );
+    require(crc32(b"") == 0, "crc32 of empty input must be 0");
+    let mut builder = ArtifactBuilder::new();
+    builder.set("step", "42");
+    builder.add_f32("param.0", &aero_tensor::Tensor::ones(&[3]));
+    let bytes = builder.to_bytes();
+    require(
+        ModelArtifact::from_bytes(bytes.clone()).is_ok_and(|a| {
+            a.value("step") == Some("42")
+                && a.tensor("param.0").is_ok_and(|t| t.as_slice() == [1.0; 3])
+        }),
+        "an artifact must round-trip its metadata and tensors losslessly",
+    );
+    require(
+        matches!(
+            ModelArtifact::from_bytes(bytes[..bytes.len() - 1].to_vec()),
+            Err(PersistError::Corrupt { .. })
+        ),
+        "a truncated artifact must be rejected as Corrupt",
+    );
+    let mut future = bytes;
+    future[4..8].copy_from_slice(&999u32.to_le_bytes());
+    let end = future.len() - 4;
+    let crc = crc32(&future[..end]);
+    future[end..].copy_from_slice(&crc.to_le_bytes());
+    require(
+        matches!(
+            ModelArtifact::from_bytes(future),
+            Err(PersistError::VersionMismatch { found: 999, .. })
+        ),
+        "unsupported format versions must be rejected as VersionMismatch",
+    );
+    report
 }
 
 #[cfg(test)]
@@ -133,5 +159,25 @@ mod tests {
         config.vision.image_size = 30; // not divisible by 4
         let report = lint_config(&config);
         assert!(!report.is_clean(), "expected diagnostics:\n{}", report.render());
+    }
+
+    /// The sites and codes of `report`'s diagnostics, in order.
+    fn findings(report: &Report) -> Vec<(&'static str, &str)> {
+        report.diagnostics().iter().map(|d| (d.code.code(), d.site.as_str())).collect()
+    }
+
+    #[test]
+    fn each_rule_reports_its_own_site() {
+        let mut config = PipelineConfig::smoke();
+        config.vision.image_size = 36; // a multiple of 4 but not of 8
+        assert_eq!(findings(&lint_config(&config)), [("AD0004", "vision.image_size")]);
+
+        let mut config = PipelineConfig::smoke();
+        config.vision.embed_dim = 9; // two heads cannot split 9 channels
+        assert_eq!(findings(&lint_config(&config)), [("AD0004", "vision.embed_dim")]);
+
+        let mut config = PipelineConfig::smoke();
+        config.vision.image_size = 0;
+        assert_eq!(findings(&lint_config(&config)), [("AD0005", "vision")]);
     }
 }

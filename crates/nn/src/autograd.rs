@@ -72,6 +72,7 @@ impl Var {
     fn leaf(value: Tensor, requires_grad: bool, op: &'static str) -> Self {
         Var {
             inner: Rc::new(RefCell::new(Node {
+                // lint: relaxed-ok(unique id; publishes no other memory)
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 op,
                 value,
@@ -87,6 +88,7 @@ impl Var {
         let requires_grad = parents.iter().any(Var::requires_grad);
         Var {
             inner: Rc::new(RefCell::new(Node {
+                // lint: relaxed-ok(unique id; publishes no other memory)
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 op,
                 value,

@@ -6,7 +6,6 @@
 use crate::autograd::Var;
 use crate::init;
 use crate::Module;
-use aero_tensor::sym::{self, Dim, ShapeSpec};
 use aero_tensor::Tensor;
 use rand::Rng;
 
@@ -65,15 +64,6 @@ impl Module for Linear {
     fn params(&self) -> Vec<Var> {
         vec![self.weight.clone(), self.bias.clone()]
     }
-
-    fn describe(&self) -> String {
-        let w = self.weight.shape();
-        format!("Linear({} -> {})", w[0], w[1])
-    }
-
-    fn infer_shape(&self, input: &ShapeSpec) -> aero_tensor::Result<ShapeSpec> {
-        sym::sym_matmul(input, &ShapeSpec::fixed(&self.weight.shape()))
-    }
 }
 
 /// 2-D convolution layer.
@@ -117,18 +107,6 @@ impl Conv2d {
 impl Module for Conv2d {
     fn params(&self) -> Vec<Var> {
         vec![self.weight.clone(), self.bias.clone()]
-    }
-
-    fn describe(&self) -> String {
-        let w = self.weight.shape();
-        format!(
-            "Conv2d({} -> {}, k={}, stride={}, pad={})",
-            w[1], w[0], w[2], self.stride, self.pad
-        )
-    }
-
-    fn infer_shape(&self, input: &ShapeSpec) -> aero_tensor::Result<ShapeSpec> {
-        sym::sym_conv2d(input, &self.weight.shape(), self.stride, self.pad)
     }
 }
 
@@ -174,18 +152,6 @@ impl Module for ConvTranspose2d {
     fn params(&self) -> Vec<Var> {
         vec![self.weight.clone(), self.bias.clone()]
     }
-
-    fn describe(&self) -> String {
-        let w = self.weight.shape();
-        format!(
-            "ConvTranspose2d({} -> {}, k={}, stride={}, pad={})",
-            w[0], w[1], w[2], self.stride, self.pad
-        )
-    }
-
-    fn infer_shape(&self, input: &ShapeSpec) -> aero_tensor::Result<ShapeSpec> {
-        sym::sym_conv_transpose2d(input, &self.weight.shape(), self.stride, self.pad)
-    }
 }
 
 /// Token embedding table.
@@ -224,20 +190,6 @@ impl Embedding {
 impl Module for Embedding {
     fn params(&self) -> Vec<Var> {
         vec![self.table.clone()]
-    }
-
-    fn describe(&self) -> String {
-        format!("Embedding(vocab={}, dim={})", self.vocab(), self.dim)
-    }
-
-    /// Input spec is the id-sequence shape `[len]`; output is `[len, dim]`.
-    fn infer_shape(&self, input: &ShapeSpec) -> aero_tensor::Result<ShapeSpec> {
-        if input.rank() != 1 {
-            return Err(aero_tensor::TensorError::DimensionMismatch {
-                detail: format!("{} expects a rank-1 id list, got {input}", self.describe()),
-            });
-        }
-        Ok(ShapeSpec::new(vec![input.dims()[0].clone(), Dim::Fixed(self.dim)]))
     }
 }
 
@@ -279,25 +231,6 @@ impl LayerNorm {
 impl Module for LayerNorm {
     fn params(&self) -> Vec<Var> {
         vec![self.gamma.clone(), self.beta.clone()]
-    }
-
-    fn describe(&self) -> String {
-        format!("LayerNorm(dim={})", self.gamma.shape()[0])
-    }
-
-    fn infer_shape(&self, input: &ShapeSpec) -> aero_tensor::Result<ShapeSpec> {
-        let dim = self.gamma.shape()[0];
-        let ok =
-            input.rank() >= 1 && sym::dim_eq(&input.dims()[input.rank() - 1], &Dim::Fixed(dim));
-        if !ok {
-            return Err(aero_tensor::TensorError::DimensionMismatch {
-                detail: format!(
-                    "{} expects a trailing axis of {dim}, got {input}",
-                    self.describe()
-                ),
-            });
-        }
-        Ok(input.clone())
     }
 }
 
@@ -349,21 +282,6 @@ impl GroupNorm {
 impl Module for GroupNorm {
     fn params(&self) -> Vec<Var> {
         vec![self.gamma.clone(), self.beta.clone()]
-    }
-
-    fn describe(&self) -> String {
-        format!("GroupNorm(groups={}, channels={})", self.groups, self.gamma.shape()[1])
-    }
-
-    fn infer_shape(&self, input: &ShapeSpec) -> aero_tensor::Result<ShapeSpec> {
-        let channels = self.gamma.shape()[1];
-        let ok = input.rank() == 4 && sym::dim_eq(&input.dims()[1], &Dim::Fixed(channels));
-        if !ok {
-            return Err(aero_tensor::TensorError::DimensionMismatch {
-                detail: format!("{} expects [n, {channels}, h, w], got {input}", self.describe()),
-            });
-        }
-        Ok(input.clone())
     }
 }
 
@@ -452,22 +370,6 @@ impl Module for MultiHeadAttention {
         p.extend(self.wv.params());
         p.extend(self.wo.params());
         p
-    }
-
-    fn describe(&self) -> String {
-        format!("MultiHeadAttention(dim={}, heads={})", self.dim, self.heads)
-    }
-
-    /// Input spec is the query `[b, t, dim]` (self-attention geometry);
-    /// output matches the query shape.
-    fn infer_shape(&self, input: &ShapeSpec) -> aero_tensor::Result<ShapeSpec> {
-        let ok = input.rank() == 3 && sym::dim_eq(&input.dims()[2], &Dim::Fixed(self.dim));
-        if !ok {
-            return Err(aero_tensor::TensorError::DimensionMismatch {
-                detail: format!("{} expects [b, t, {}], got {input}", self.describe(), self.dim),
-            });
-        }
-        Ok(input.clone())
     }
 }
 
@@ -594,45 +496,5 @@ mod tests {
         let o1 = attn.forward(&q, &kv1).to_tensor();
         let o2 = attn.forward(&q, &kv2).to_tensor();
         assert!(o1.sub(&o2).abs().max() > 1e-6);
-    }
-
-    #[test]
-    fn infer_shape_agrees_with_runtime_shapes() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let lin = Linear::new(6, 10, &mut rng);
-        let conv = Conv2d::new(3, 8, 3, 2, 1, &mut rng);
-        let tconv = ConvTranspose2d::new(8, 4, 2, 2, 0, &mut rng);
-        let gn = GroupNorm::new(2, 8);
-        let attn = MultiHeadAttention::new(8, 2, &mut rng);
-
-        let x = Var::constant(Tensor::randn(&[2, 6], &mut rng));
-        assert_eq!(
-            lin.infer_shape(&ShapeSpec::fixed(&[2, 6])).unwrap().as_fixed().unwrap(),
-            lin.forward(&x).shape()
-        );
-        let img = Var::constant(Tensor::randn(&[2, 3, 8, 8], &mut rng));
-        let conv_out = conv.forward(&img);
-        assert_eq!(
-            conv.infer_shape(&ShapeSpec::fixed(&[2, 3, 8, 8])).unwrap().as_fixed().unwrap(),
-            conv_out.shape()
-        );
-        assert_eq!(
-            tconv.infer_shape(&ShapeSpec::fixed(&conv_out.shape())).unwrap().as_fixed().unwrap(),
-            tconv.forward(&conv_out).shape()
-        );
-        assert_eq!(
-            gn.infer_shape(&ShapeSpec::fixed(&conv_out.shape())).unwrap().as_fixed().unwrap(),
-            gn.forward(&conv_out).shape()
-        );
-        let tok = Var::constant(Tensor::randn(&[2, 5, 8], &mut rng));
-        assert_eq!(
-            attn.infer_shape(&ShapeSpec::fixed(&[2, 5, 8])).unwrap().as_fixed().unwrap(),
-            attn.forward(&tok, &tok).shape()
-        );
-        // Symbolic batch flows through, and geometry violations surface.
-        let sym_out = conv.infer_shape(&ShapeSpec::batched("B", &[3, 8, 8])).unwrap();
-        assert_eq!(sym_out, ShapeSpec::batched("B", &[8, 4, 4]));
-        assert!(lin.infer_shape(&ShapeSpec::batched("B", &[7])).is_err());
-        assert!(gn.infer_shape(&ShapeSpec::batched("B", &[5, 4, 4])).is_err());
     }
 }

@@ -8,6 +8,11 @@
 
 use std::fmt;
 
+/// Deepest container nesting [`Json::parse`] accepts. Protocol messages
+/// nest two or three levels; the cap keeps a hostile line from
+/// overflowing the stack of the recursive parser.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Object keys keep insertion order so rendered responses
 /// are deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,9 +106,10 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns the first syntax error with its byte offset.
+    /// Returns the first syntax error with its byte offset, including
+    /// containers nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -214,6 +220,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -251,8 +259,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.error(&format!("containers nested more than {MAX_DEPTH} levels deep")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -424,6 +439,19 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn nested(depth: usize) -> String {
+        format!("{{\"prompt\":{}{}}}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let err = Json::parse(&nested(50_000)).unwrap_err();
+        assert!(err.message.contains("nested"), "{err}");
+        // The object itself is one level, so the arrays may add the rest.
+        assert!(Json::parse(&nested(MAX_DEPTH - 1)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_err());
+    }
 
     #[test]
     fn parses_nested_document() {

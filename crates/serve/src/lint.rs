@@ -1,45 +1,23 @@
-//! Static shape lint for the serving configuration.
+//! Pre-flight validation of a serving configuration.
 //!
-//! Extends the pipeline shape program with the batcher's contribution:
-//! the micro-batcher concatenates `max_batch` per-request `[1, cond_dim]`
-//! condition rows on axis 0 and feeds the result to the UNet, so the
-//! coalesced tensor must land exactly on `[max_batch, cond_dim]` for the
-//! UNet configuration the pipeline would realise. This is checked
-//! symbolically — no model is built — so `lint --all` catches a serving
-//! misconfiguration before anything trains.
+//! The micro-batcher coalesces up to `max_batch` requests into one UNet
+//! batch, so on top of the pipeline rules `max_batch` must be positive.
 
-use aero_analysis::{Report, ShapeCtx};
-use aero_tensor::sym::ShapeSpec;
-use aerodiffusion::lint::{pipeline_desc, unet_config};
+use aero_analysis::{DiagCode, Report};
+use aerodiffusion::lint::lint_config;
 use aerodiffusion::PipelineConfig;
 
 use crate::runtime::ServeConfig;
 
-/// Statically validates a serving setup on top of the pipeline lint.
+/// Validates a serving setup: [`lint_config`] plus a positive
+/// `max_batch` (`AD0005` at `serve.max_batch`).
 #[must_use]
 pub fn lint_serve(config: &PipelineConfig, serve: &ServeConfig) -> Report {
-    let mut ctx = ShapeCtx::new();
-    pipeline_desc(config).check(&mut ctx);
-    let unet = unet_config(config);
-    ctx.scoped("serve", |ctx| {
-        ctx.require(
-            serve.max_batch > 0,
-            aero_analysis::DiagCode::ShapeMismatch,
-            "max_batch must be positive",
-        );
-        ctx.scoped("batcher", |ctx| {
-            let row = ShapeSpec::fixed(&[1, unet.cond_dim]);
-            let rows: Vec<&ShapeSpec> = (0..serve.max_batch.max(1)).map(|_| &row).collect();
-            if let Some(coalesced) = ctx.concat(&rows, 0) {
-                ctx.require_same_shape(
-                    &coalesced,
-                    &ShapeSpec::fixed(&[serve.max_batch.max(1), unet.cond_dim]),
-                    "coalesced condition batch fed to the UNet",
-                );
-            }
-        });
-    });
-    ctx.into_report()
+    let mut report = lint_config(config);
+    if serve.max_batch == 0 {
+        report.push(DiagCode::InvalidConfig, "serve.max_batch", "max_batch must be positive");
+    }
+    report
 }
 
 #[cfg(test)]

@@ -350,6 +350,31 @@ fn invalid_generate_line_is_rejected_with_the_clients_id() {
     }
 }
 
+/// A line nested 50,000 levels deep is a typed `bad_request`, not a
+/// stack overflow that takes the whole server down: the next request on
+/// the connection is still served.
+#[test]
+fn deeply_nested_line_is_rejected_and_serving_continues() {
+    let depth = 50_000;
+    let input = format!(
+        "{{\"prompt\":{}{}}}\n{}\n",
+        "[".repeat(depth),
+        "]".repeat(depth),
+        r#"{"type":"generate","id":"after","prompt":"a park","seed":3}"#
+    );
+    let runtime = ServeRuntime::start(snapshot().clone(), serve_config());
+    let mut output = Vec::new();
+    let stats = serve_ndjson(runtime, Cursor::new(input), &mut output).unwrap();
+    assert_eq!(stats.completed, 1);
+    let lines: Vec<Json> =
+        String::from_utf8(output).unwrap().lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(lines.len(), 2, "one reply line per input line");
+    assert_eq!(lines[0].get("id").and_then(Json::as_str), Some("req-0"));
+    assert_eq!(lines[0].get("reason").and_then(Json::as_str), Some("bad_request"));
+    assert_eq!(lines[1].get("id").and_then(Json::as_str), Some("after"));
+    assert_eq!(lines[1].get("type").and_then(Json::as_str), Some("image"));
+}
+
 #[test]
 fn ndjson_round_trip_preserves_order_and_reports_stats() {
     let input = concat!(

@@ -5,8 +5,8 @@
 //! [`ComputeBackend`] receives a contiguous slab of output rows plus the
 //! operands and fills it in. Two implementations ship:
 //!
-//! * **`Reference`** — the original straight-line row kernels, quarantined
-//!   as the oracle the equivalence suite compares against.
+//! * **`Reference`** — the original straight-line row kernels, kept as
+//!   the oracle the equivalence suite compares against.
 //! * **`Blocked`** — register-tiled, cache-blocked microkernels: a packed
 //!   [`MR`]×[`NR`] matmul tile with [`KC`]-deep k-panels, a direct
 //!   im2col-free conv2d for stride-1 1×1/3×3 kernels, and a blocked
@@ -138,12 +138,9 @@ impl std::str::FromStr for BackendKind {
 ///
 /// Callers never hold a backend directly: dispatch goes through
 /// [`crate::par_kernels`], which resolves the ambient choice per kernel
-/// call. `aero-analysis` flags concrete backend references outside this
-/// crate (diagnostic `AD0112`).
-pub trait ComputeBackend: Sync {
-    /// Which [`BackendKind`] this implementation is.
-    fn kind(&self) -> BackendKind;
-
+/// call. The trait is crate-private, so no other crate can reach a
+/// concrete backend past that dispatch.
+pub(crate) trait ComputeBackend: Sync {
     /// Fills `out` (a slab of `out.len() / n` rows) with
     /// `a[rows, k] @ b[k, n]`, accumulating each element over ascending
     /// `p`. `a` holds exactly the slab's rows; `out` arrives zeroed.
@@ -191,7 +188,7 @@ fn conv2d_im2col(src: &[f32], weight: &[f32], g: ConvGeom, cout: usize) -> Vec<f
 }
 
 // ---------------------------------------------------------------------------
-// Reference backend: the quarantined serial row kernels.
+// Reference backend: the serial row kernels, kept as the oracle.
 // ---------------------------------------------------------------------------
 
 /// The oracle backend: per-row straight-line loops, one output row at a
@@ -199,10 +196,6 @@ fn conv2d_im2col(src: &[f32], weight: &[f32], g: ConvGeom, cout: usize) -> Vec<f
 struct ReferenceBackend;
 
 impl ComputeBackend for ReferenceBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Reference
-    }
-
     fn matmul_slab(&self, a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
         for (i, out_row) in out.chunks_mut(n).enumerate() {
             par_kernels::matmul_row_kernel(&a[i * k..(i + 1) * k], b, out_row);
@@ -265,10 +258,6 @@ pub(crate) fn softmax_row_kernel(row: &mut [f32]) {
 struct BlockedBackend;
 
 impl ComputeBackend for BlockedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Blocked
-    }
-
     fn matmul_slab(&self, a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
         blocked_matmul_slab(
             |i, panel, kk, kc| pack_a_panel(a, i, k, kk, kc, panel),

@@ -9,9 +9,11 @@
 //!
 //! The design goal is *correct and predictable* first: everything is
 //! plain safe Rust over `Vec<f32>`, seeded and deterministic. The dense
-//! kernels additionally fan out over scoped std threads through
-//! [`par_kernels`], sharded so the parallel result is bit-identical to
-//! the serial reference at any thread count (policy in [`parallel`]).
+//! kernels additionally fan out over scoped std threads through the
+//! crate-private `par_kernels` layer, sharded so the parallel result is
+//! bit-identical to the serial reference at any thread count (policy in
+//! [`parallel`]). The serial reference kernels are compiled for this
+//! crate's tests only, so no other crate can call them.
 //!
 //! # Example
 //!
@@ -28,11 +30,12 @@ pub mod backend;
 mod error;
 mod linalg;
 mod ops;
-pub mod par_kernels;
+#[cfg(test)]
+mod par_equivalence;
+mod par_kernels;
 pub mod parallel;
 pub mod quant;
 mod shape;
-pub mod sym;
 mod tensor;
 
 pub use backend::BackendKind;

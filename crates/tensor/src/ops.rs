@@ -8,7 +8,7 @@
 //! [`crate::par_kernels`], fanning out over the thread count resolved by
 //! [`crate::parallel::active_threads`]. Sharding assigns each output
 //! region to exactly one thread running the identical serial inner loop,
-//! so results are bit-identical at every thread count; the
+//! so results are bit-identical at every thread count; the test-only
 //! `*_serial` methods are the independent single-threaded references the
 //! equivalence suite compares against.
 
@@ -19,7 +19,7 @@ use crate::TensorError;
 
 impl Tensor {
     /// Matrix product of two rank-2 tensors, sharded over output rows
-    /// (bit-identical to [`Tensor::matmul_serial`] at any thread count).
+    /// (bit-identical to the serial reference at any thread count).
     ///
     /// # Panics
     ///
@@ -46,15 +46,14 @@ impl Tensor {
     /// Single-threaded reference matmul: the exact accumulation order
     /// ([`Tensor::matmul`]'s "ikj" loop) run without the worker pool.
     ///
-    /// Exists for the parallel-equivalence test suite and benchmarks
-    /// only. Production call sites must go through [`Tensor::matmul`];
-    /// `aero-analysis` flags `matmul_serial` uses outside this crate's
-    /// tests (diagnostic `AD0110`).
+    /// Compiled for this crate's tests only, so no production caller
+    /// can reach it.
     ///
     /// # Panics
     ///
     /// Panics unless `self` is `[m, k]` and `other` is `[k, n]`.
-    pub fn matmul_serial(&self, other: &Tensor) -> Tensor {
+    #[cfg(test)]
+    pub(crate) fn matmul_serial(&self, other: &Tensor) -> Tensor {
         let out_shape = matmul_shape(self.shape(), other.shape())
             .unwrap_or_else(|e| panic!("matmul_serial: {e}"));
         let (m, n) = (out_shape[0], out_shape[1]);
@@ -285,15 +284,14 @@ impl Tensor {
     /// gather followed by per-batch [`Tensor::matmul_serial`] products
     /// in the same accumulation order [`Tensor::conv2d`] uses.
     ///
-    /// Exists for the parallel-equivalence test suite and benchmarks
-    /// only. Production call sites must go through [`Tensor::conv2d`];
-    /// `aero-analysis` flags `conv2d_serial` uses outside this crate's
-    /// tests (diagnostic `AD0110`).
+    /// Compiled for this crate's tests only, so no production caller
+    /// can reach it.
     ///
     /// # Panics
     ///
     /// Panics on rank or channel mismatches.
-    pub fn conv2d_serial(
+    #[cfg(test)]
+    pub(crate) fn conv2d_serial(
         &self,
         weight: &Tensor,
         bias: Option<&Tensor>,
@@ -334,6 +332,7 @@ impl Tensor {
     }
 
     /// Serial im2col gather backing [`Tensor::conv2d_serial`].
+    #[cfg(test)]
     fn im2col_serial(&self, kh: usize, kw: usize, stride: usize, pad: usize) -> Tensor {
         assert_eq!(self.rank(), 4, "im2col requires [n, c, h, w]");
         let (n, c, h, w) = (self.shape()[0], self.shape()[1], self.shape()[2], self.shape()[3]);

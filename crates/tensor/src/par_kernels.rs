@@ -9,7 +9,7 @@
 //! another thread's unit, so the per-element floating-point accumulation
 //! order is fixed by construction and the parallel result is
 //! **bit-identical** to the serial one at any thread count *and* under
-//! either backend — the property `crates/tensor/tests/par_equivalence.rs`
+//! either backend — the property `crates/tensor/src/par_equivalence.rs`
 //! proves exhaustively and `DESIGN.md` §10/§15 document.
 //!
 //! This module owns *sharding and dispatch*; the per-slab compute

@@ -14,8 +14,8 @@
 //! the same "ikj" accumulation order every other matmul-family kernel in
 //! this crate uses. The parallel path shards output rows through
 //! [`crate::par_kernels::run_units`] exactly like [`Tensor::matmul`], so
-//! it is bit-identical to [`Q8Tensor::matmul_serial`] (the quarantined
-//! oracle) at any thread count.
+//! it is bit-identical to the test-only serial oracle at any thread
+//! count.
 //!
 //! Quantization itself is deterministic — scale selection and rounding
 //! involve no ambient state — so the same `f32` tensor always produces
@@ -179,8 +179,7 @@ impl Q8Tensor {
     /// dense `f32` `[k, n]` matrix, sharded over output rows like
     /// [`Tensor::matmul`]. Each row dequantizes its q8 blocks on the fly
     /// inside the same "ikj" accumulation order, so the parallel result
-    /// is bit-identical to [`Q8Tensor::matmul_serial`] at any thread
-    /// count.
+    /// is bit-identical to the serial reference at any thread count.
     ///
     /// # Panics
     ///
@@ -211,15 +210,15 @@ impl Q8Tensor {
     }
 
     /// Single-threaded reference for [`Q8Tensor::matmul`]: the identical
-    /// per-row kernel run without the worker pool. Exists as the bitwise
-    /// oracle for the equivalence tests only — production call sites go
-    /// through [`Q8Tensor::matmul`].
+    /// per-row kernel run without the worker pool. Compiled for this
+    /// crate's tests only, as their bitwise oracle.
     ///
     /// # Panics
     ///
     /// Panics unless `self` is rank 2 and shapes agree.
+    #[cfg(test)]
     #[must_use]
-    pub fn matmul_serial(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn matmul_serial(&self, other: &Tensor) -> Tensor {
         let out_shape = matmul_shape(&self.shape, other.shape())
             .unwrap_or_else(|e| panic!("q8 matmul_serial: {e}"));
         let (m, n) = (out_shape[0], out_shape[1]);
@@ -269,6 +268,8 @@ pub(crate) fn q8_row_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -347,5 +348,30 @@ mod tests {
         assert_eq!(q.dequantize().shape(), &[3]);
         let s = Tensor::from_vec(vec![0.5], &[1]);
         assert_eq!(Q8Tensor::quantize(&s).dequantize().shape(), &[1]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The q8 matmul is bit-identical to its serial oracle at any thread
+        /// count, the same contract the dense kernels uphold.
+        #[test]
+        fn q8_matmul_parallel_matches_serial_bitwise(
+            m in 1usize..6,
+            k in 1usize..80,
+            n in 1usize..6,
+            threads in 1usize..5,
+            seed in 0u64..1000,
+        ) {
+            use rand::{rngs::StdRng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = Q8Tensor::quantize(&Tensor::randn(&[m, k], &mut rng));
+            let b = Tensor::randn(&[k, n], &mut rng);
+            let serial = a.matmul_serial(&b);
+            let par = parallel::with_threads(threads, || a.matmul(&b));
+            let sb: Vec<u32> = serial.as_slice().iter().map(|v| v.to_bits()).collect();
+            let pb: Vec<u32> = par.as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(sb, pb);
+        }
     }
 }

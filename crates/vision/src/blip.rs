@@ -35,7 +35,7 @@ impl BlipFusion {
         BlipFusion {
             image_encoder: ImageEncoder::new(config, rng),
             text_encoder: TextEncoder::new(vocab, config, rng),
-            cross_attn: MultiHeadAttention::new(d, 2.min(d / 4).max(1), rng),
+            cross_attn: MultiHeadAttention::new(d, config.attention_heads(), rng),
             norm: LayerNorm::new(d),
             proj: Linear::new(d, d, rng),
             config,

@@ -114,7 +114,7 @@ impl TextEncoder {
             positional: Var::parameter(
                 Tensor::randn(&[config.max_text_len, d], rng).mul_scalar(0.02),
             ),
-            attn: MultiHeadAttention::new(d, 2.min(d / 4).max(1), rng),
+            attn: MultiHeadAttention::new(d, config.attention_heads(), rng),
             norm1: LayerNorm::new(d),
             ff1: Linear::new(d, 2 * d, rng),
             ff2: Linear::new(2 * d, d, rng),

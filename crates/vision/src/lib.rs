@@ -52,4 +52,12 @@ impl VisionConfig {
     pub fn tiny() -> Self {
         VisionConfig { image_size: 16, embed_dim: 16, base_channels: 4, max_text_len: 12 }
     }
+
+    /// Head count of the text-encoder self-attention and the BLIP
+    /// cross-attention: two once each head gets at least four channels,
+    /// else one. `embed_dim` must be a multiple of it.
+    #[must_use]
+    pub fn attention_heads(&self) -> usize {
+        2.min(self.embed_dim / 4).max(1)
+    }
 }

@@ -97,10 +97,10 @@
 //! Without `--task` the sample path is byte-identical to previous
 //! releases.
 //!
-//! `lint` statically validates the model geometry a configuration would
-//! realise — symbolic shape inference over the whole pipeline plus the
-//! serving batcher's coalesced-condition contract — and exits non-zero if
-//! any `ADxxxx` error is found, without training anything.
+//! `lint` validates a configuration before anything trains — positive
+//! sizes, an image size the VAE and UNet strides round-trip, an
+//! embedding width the attention heads split, and a positive serving
+//! batch — and exits non-zero if any `ADxxxx` error is found.
 //!
 //! `serve` speaks newline-delimited JSON over stdin/stdout: one
 //! `{"type":"generate","prompt":…,"seed":…}` request per input line, one
@@ -662,8 +662,8 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
     };
     let mut failed = false;
     for (name, config) in configs {
-        // The serve lint is a strict superset of the pipeline lint: it
-        // runs the same shape program and adds the batcher's contract.
+        // The serve lint is a strict superset of the pipeline lint: the
+        // same config rules plus a positive batcher `max_batch`.
         let report = lint_serve(&config, &ServeConfig::for_pipeline(&config));
         println!("== {name} ==");
         print!("{}", report.render());
@@ -676,11 +676,10 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
         println!("== checkpoint ==");
         print!("{}", report.render());
         failed |= !report.is_clean();
-        // Source-level: all seven token-level passes over the workspace
-        // tree (AD0110/AD0111 kernel discipline, AD0112 backend
-        // dispatch, AD0200 lock order, AD0201 atomics, AD0202
-        // determinism, AD0203 worker panics). A no-op away from a
-        // checkout.
+        // Source-level: all five token-level passes over the workspace
+        // tree (AD0111 panicking kernels on serving paths, AD0200 lock
+        // order, AD0201 atomics, AD0202 determinism, AD0203 worker
+        // panics). A no-op away from a checkout.
         let source_root = parse_flag(args, "--source-root").unwrap_or_else(|| ".".to_string());
         let report = aerodiffusion::lint_source_all(std::path::Path::new(&source_root));
         println!("== source ==");

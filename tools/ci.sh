@@ -6,9 +6,9 @@
 #   2. clippy        — workspace lint policy ([workspace.lints] in Cargo.toml),
 #                      warnings are errors
 #   3. tests         — the full workspace test suite
-#   4. static lint   — aero-analysis shape validation of every shipped
-#                      pipeline preset plus the serving batcher contract,
-#                      and the token-level source passes (AD01xx/AD02xx)
+#   4. static lint   — config validation of every shipped pipeline preset
+#                      plus the serving batch size (AD0004/AD0005), and
+#                      the token-level source passes (AD01xx/AD02xx)
 #                      gated against the committed diagnostics baseline:
 #                      any finding not in tools/lint_baseline.txt fails
 #                      (the `lint` CLI subcommand); plus a lock-order
@@ -16,7 +16,10 @@
 #                      temp workspace and asserts the analyzer trips
 #   5. serve smoke   — two NDJSON requests piped through `serve --demo`,
 #                      asserting image replies plus the stats and
-#                      metrics probes
+#                      metrics probes; plus a hostile-nesting smoke: a
+#                      line nested 50k deep gets a typed bad_request, the
+#                      next request is still served and the server drains
+#                      cleanly
 #   6. fault smokes  — a checkpointed training run killed mid-way via
 #                      --max-steps and resumed to completion with a finite
 #                      final loss, and a serve run with an injected
@@ -41,8 +44,9 @@
 #   7b. backend smoke — the same sample rendered under --backend reference
 #                      and under AERO_BACKEND=blocked must be byte-identical
 #                      (the ComputeBackend oracle-equivalence contract, end
-#                      to end through the full pipeline; AD0112 keeps every
-#                      caller on the dispatched path)
+#                      to end through the full pipeline; the backends are
+#                      private to the tensor crate, so every caller goes
+#                      through the dispatched path)
 #   8. obs smokes    — the same sample rendered with and without --trace
 #                      must be byte-identical (observation never perturbs
 #                      results), and `profile` must print a span tree
@@ -134,6 +138,20 @@ echo "$serve_out" | grep -q '"type":"metrics"' \
   || { echo "serve smoke: metrics line missing"; exit 1; }
 echo "$serve_out" | grep -q '"serve.completed":2' \
   || { echo "serve smoke: metrics line missing serve.completed counter"; exit 1; }
+
+echo "== serving smoke: a 50k-deep line is rejected typed and serving continues =="
+deep="{\"prompt\":$(head -c 50000 /dev/zero | tr '\0' '[')$(head -c 50000 /dev/zero | tr '\0' ']')}"
+deep_out="$(printf '%s\n%s\n' "$deep" \
+  '{"type":"generate","id":"ci-deep","prompt":"an aerial view of a park","seed":1}' \
+  | cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+      serve --demo --scenes 3 --workers 1 --steps 4 2>"$work/serve_deep.log")"
+echo "$deep_out" | head -c 400; echo
+[ "$(echo "$deep_out" | grep -c '"reason":"bad_request"')" -eq 1 ] \
+  || { echo "nesting smoke: expected one bad_request for the deep line"; exit 1; }
+[ "$(echo "$deep_out" | grep -c '"type":"image"')" -eq 1 ] \
+  || { echo "nesting smoke: the request after the deep line must be served"; exit 1; }
+grep -q '^drained: 1 served, 0 rejected' "$work/serve_deep.log" \
+  || { echo "nesting smoke: expected a clean drain line"; cat "$work/serve_deep.log"; exit 1; }
 
 echo "== fault smoke: kill + resume a checkpointed training run =="
 # Kill the joint stage after its first step (checkpoint every step; the
