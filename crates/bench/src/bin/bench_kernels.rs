@@ -8,10 +8,13 @@
 //! bit-identical output bytes (the kernel layer's core contract).
 //!
 //! Writes `BENCH_kernels.json` to the working directory. The file
-//! records the host's `available_parallelism` because parallel speedups
-//! are only meaningful relative to it: the dispatcher clamps its plan to
-//! the physical core count, so on a single-core container every thread
-//! column times the same serial execution. Three gates:
+//! records the commit it measured (`git_sha` from `git rev-parse HEAD`,
+//! `"unknown"` outside a checkout; `git_dirty` when the working tree
+//! differs from that commit) and the host's `available_parallelism`,
+//! because parallel speedups are only meaningful relative to it: the
+//! dispatcher clamps its plan to the physical core count, so on a
+//! single-core container every thread column times the same serial
+//! execution. Three gates:
 //!
 //! - **blocked ≥3× matmul (1 thread)** — the cache-blocked backend must
 //!   beat the reference oracle by ≥3× on the single-thread 512² matmul
@@ -123,6 +126,13 @@ fn best_us<F: Fn() -> Tensor>(reps: usize, traced: bool, f: &F) -> u64 {
         best = best.min(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
     best
+}
+
+/// Trimmed stdout of `git <args>` when it succeeds with output.
+fn git(args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new("git").args(args).output().ok()?;
+    let text = String::from_utf8(out.stdout).ok()?.trim().to_string();
+    (out.status.success() && !text.is_empty()).then_some(text)
 }
 
 fn main() {
@@ -241,6 +251,8 @@ fn main() {
     }
     let json = Json::obj(vec![
         ("bench", "kernels".into()),
+        ("git_sha", git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()).into()),
+        ("git_dirty", git(&["status", "--porcelain"]).is_some().into()),
         ("available_parallelism", (cores as u64).into()),
         ("thread_counts", Json::Arr(THREAD_COUNTS.iter().map(|&t| (t as u64).into()).collect())),
         ("backends", Json::Arr(BackendKind::ALL.iter().map(|b| b.as_str().into()).collect())),

@@ -218,78 +218,101 @@ pub fn serve_ndjson(
 /// collector.
 fn read_loop(
     runtime: &ServeRuntime,
-    input: impl BufRead,
+    mut input: impl BufRead,
     tx: &mpsc::Sender<Entry>,
 ) -> std::io::Result<()> {
     // id → cancel token for every request submitted on this connection,
     // so a later `cancel` line can reach it while it is queued or
     // sampling.
     let mut cancels: HashMap<String, CancelToken> = HashMap::new();
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut raw = Vec::new();
+    for lineno in 0usize.. {
+        // Raw bytes, not `lines()`: a line that is not UTF-8 is one bad
+        // request, not an I/O error that ends the connection.
+        raw.clear();
+        if input.read_until(b'\n', &mut raw)? == 0 {
+            break;
         }
         let fallback_id = format!("req-{lineno}");
-        let entry = match Json::parse(&line) {
-            Err(e) => Entry::Immediate(bad_request(&fallback_id, &format!("invalid JSON: {e}"))),
-            Ok(v) => match v.get("type").and_then(Json::as_str).unwrap_or("generate") {
-                "stats" => Entry::Stats,
-                "metrics" => Entry::Metrics,
-                "models" => Entry::Immediate(models_json(runtime)),
-                // The swap runs here, in line order: requests on earlier
-                // lines were already submitted (they finish on whichever
-                // replica pops them), requests on later lines meet the
-                // swapped-in model.
-                "swap" => Entry::Immediate(swap_json(runtime, &v, &fallback_id)),
-                // The cancel takes effect here, as soon as the reader
-                // sees the line — only the acknowledgement waits for its
-                // turn in the output order. `ok` is false for ids this
-                // connection never submitted.
-                "cancel" => {
-                    let id = v.get("id").and_then(Json::as_str).unwrap_or(&fallback_id);
-                    let ok = match cancels.get(id) {
-                        Some(token) => {
-                            token.cancel();
-                            true
-                        }
-                        None => false,
-                    };
-                    Entry::Immediate(Json::obj(vec![
-                        ("type", "cancel".into()),
-                        ("id", id.into()),
-                        ("ok", ok.into()),
-                    ]))
-                }
-                "generate" => match GenerateRequest::from_json(&v, &fallback_id) {
-                    // Echo the client's id when the line carries one, so
-                    // the rejection can be matched to its request.
-                    Err(detail) => {
-                        let id = v.get("id").and_then(Json::as_str).unwrap_or(&fallback_id);
-                        Entry::Immediate(bad_request(id, &detail))
-                    }
-                    Ok(request) => {
-                        let id = request.id.clone();
-                        match runtime.submit(request) {
-                            Ok(handle) => {
-                                cancels.insert(id, handle.cancel_token());
-                                Entry::Reply(handle)
-                            }
-                            Err(reason) => {
-                                Entry::Immediate(ServeReply::Rejected { id, reason }.to_json())
-                            }
-                        }
-                    }
-                },
-                other => Entry::Immediate(bad_request(
-                    &fallback_id,
-                    &format!("unknown request type {other:?}"),
-                )),
-            },
+        let entry = match std::str::from_utf8(&raw) {
+            Err(e) => Entry::Immediate(bad_request(
+                &fallback_id,
+                &format!("line is not valid UTF-8: {e}"),
+            )),
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                line_entry(runtime, line.trim_end_matches(['\n', '\r']), &fallback_id, &mut cancels)
+            }
         };
         if tx.send(entry).is_err() {
             break; // collector died on an output error; its result says why
         }
     }
     Ok(())
+}
+
+/// The ordered entry for one UTF-8 request line: parsed, and for
+/// `generate` and `cancel` lines acted on, in line order.
+fn line_entry(
+    runtime: &ServeRuntime,
+    line: &str,
+    fallback_id: &str,
+    cancels: &mut HashMap<String, CancelToken>,
+) -> Entry {
+    match Json::parse(line) {
+        Err(e) => Entry::Immediate(bad_request(fallback_id, &format!("invalid JSON: {e}"))),
+        Ok(v) => match v.get("type").and_then(Json::as_str).unwrap_or("generate") {
+            "stats" => Entry::Stats,
+            "metrics" => Entry::Metrics,
+            "models" => Entry::Immediate(models_json(runtime)),
+            // The swap runs here, in line order: requests on earlier
+            // lines were already submitted (they finish on whichever
+            // replica pops them), requests on later lines meet the
+            // swapped-in model.
+            "swap" => Entry::Immediate(swap_json(runtime, &v, fallback_id)),
+            // The cancel takes effect here, as soon as the reader
+            // sees the line — only the acknowledgement waits for its
+            // turn in the output order. `ok` is false for ids this
+            // connection never submitted.
+            "cancel" => {
+                let id = v.get("id").and_then(Json::as_str).unwrap_or(fallback_id);
+                let ok = match cancels.get(id) {
+                    Some(token) => {
+                        token.cancel();
+                        true
+                    }
+                    None => false,
+                };
+                Entry::Immediate(Json::obj(vec![
+                    ("type", "cancel".into()),
+                    ("id", id.into()),
+                    ("ok", ok.into()),
+                ]))
+            }
+            "generate" => match GenerateRequest::from_json(&v, fallback_id) {
+                // Echo the client's id when the line carries one, so
+                // the rejection can be matched to its request.
+                Err(detail) => {
+                    let id = v.get("id").and_then(Json::as_str).unwrap_or(fallback_id);
+                    Entry::Immediate(bad_request(id, &detail))
+                }
+                Ok(request) => {
+                    let id = request.id.clone();
+                    match runtime.submit(request) {
+                        Ok(handle) => {
+                            cancels.insert(id, handle.cancel_token());
+                            Entry::Reply(handle)
+                        }
+                        Err(reason) => {
+                            Entry::Immediate(ServeReply::Rejected { id, reason }.to_json())
+                        }
+                    }
+                }
+            },
+            other => Entry::Immediate(bad_request(
+                fallback_id,
+                &format!("unknown request type {other:?}"),
+            )),
+        },
+    }
 }

@@ -375,6 +375,27 @@ fn deeply_nested_line_is_rejected_and_serving_continues() {
     assert_eq!(lines[1].get("type").and_then(Json::as_str), Some("image"));
 }
 
+/// A line that is not valid UTF-8 is a typed `bad_request` under its
+/// line id, not an I/O error that ends the connection: the next request
+/// is still served and the server drains cleanly.
+#[test]
+fn non_utf8_line_is_rejected_and_serving_continues() {
+    let mut input = b"\xff\xfe{\"prompt\":\"a park\"}\n".to_vec();
+    input.extend_from_slice(br#"{"type":"generate","id":"after","prompt":"a park","seed":3}"#);
+    input.push(b'\n');
+    let runtime = ServeRuntime::start(snapshot().clone(), serve_config());
+    let mut output = Vec::new();
+    let stats = serve_ndjson(runtime, Cursor::new(input), &mut output).unwrap();
+    assert_eq!(stats.completed, 1);
+    let lines: Vec<Json> =
+        String::from_utf8(output).unwrap().lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(lines.len(), 2, "one reply line per input line");
+    assert_eq!(lines[0].get("id").and_then(Json::as_str), Some("req-0"));
+    assert_eq!(lines[0].get("reason").and_then(Json::as_str), Some("bad_request"));
+    assert_eq!(lines[1].get("id").and_then(Json::as_str), Some("after"));
+    assert_eq!(lines[1].get("type").and_then(Json::as_str), Some("image"));
+}
+
 #[test]
 fn ndjson_round_trip_preserves_order_and_reports_stats() {
     let input = concat!(

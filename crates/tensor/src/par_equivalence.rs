@@ -371,3 +371,132 @@ fn large_softmax_above_threshold_is_backend_and_thread_invariant() {
     let reference = run_under(BackendKind::Reference, 1, || x.softmax_last_axis());
     assert_all_backends_bitwise(&reference, "softmax", || x.softmax_last_axis());
 }
+
+// ---- strided broadcast/permute walk vs the per-element div/mod oracles ----
+
+/// Fills a tensor with bit patterns that `to_bits` compares exactly:
+/// normal values plus a sprinkling of −0.0, +∞ and NaNs with distinct
+/// payloads, so a swapped or duplicated read cannot hide.
+fn adversarial(shape: &[usize], seed: u64) -> Tensor {
+    let mut t = Tensor::randn(shape, &mut StdRng::seed_from_u64(seed));
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        match i % 11 {
+            3 => *v = -0.0,
+            5 => *v = f32::from_bits(0x7fc0_0000 | (i as u32 & 0x3f_ffff)),
+            7 => *v = f32::INFINITY,
+            _ => {}
+        }
+    }
+    t
+}
+
+/// One operand shape broadcast-compatible with `out`: it keeps a
+/// `bits`-chosen suffix of the axes (rank-mismatched leading broadcast)
+/// and collapses `bits`-chosen axes to 1 (size-1 broadcast).
+fn broadcast_side(out: &[usize], bits: u64) -> Vec<usize> {
+    let rank = out.len();
+    let keep = rank - (bits % (rank as u64 + 1)) as usize;
+    let mut s = out[rank - keep..].to_vec();
+    for (k, d) in s.iter_mut().enumerate() {
+        if (bits >> (8 + k)) & 1 == 1 {
+            *d = 1;
+        }
+    }
+    s
+}
+
+/// Sweeps threads 1–8 (assumed 8 cores, so large outputs really fan
+/// out) and asserts `zip`, and both operands' `broadcast_to`, equal the
+/// per-element div/mod oracles bit for bit.
+fn assert_zip_matches_oracle(a: &Tensor, b: &Tensor) {
+    let f = |x: f32, y: f32| x * 1.5 - y;
+    let want = a.zip_serial(b, f);
+    for threads in 1..=8 {
+        let got = with_assumed_cores(8, || with_threads(threads, || a.zip(b, f)));
+        let what = format!("zip {:?} ⊗ {:?} at {threads} threads", a.shape(), b.shape());
+        assert_bitwise_eq(&got, &want, &what);
+    }
+    for t in [a, b] {
+        let what = format!("broadcast_to {:?} → {:?}", t.shape(), want.shape());
+        assert_bitwise_eq(
+            &t.broadcast_to(want.shape()),
+            &t.broadcast_to_serial(want.shape()),
+            &what,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn strided_zip_and_broadcast_match_div_mod_oracle(
+        out in prop::collection::vec(0usize..5, 0..6),
+        bits_a in 0u64..1 << 16,
+        bits_b in 0u64..1 << 16,
+        seed in 0u64..1000,
+    ) {
+        // Each side independently drops leading axes and collapses
+        // others to 1, so one-sided, two-sided and rank-mismatched
+        // broadcasts all occur.
+        let a = adversarial(&broadcast_side(&out, bits_a), seed);
+        let b = adversarial(&broadcast_side(&out, bits_b), seed + 1);
+        assert_zip_matches_oracle(&a, &b);
+        assert_zip_matches_oracle(&b, &a);
+    }
+
+    #[test]
+    fn strided_permute_matches_div_mod_oracle(
+        shape in prop::collection::vec(0usize..5, 0..6),
+        order in 0u64..1 << 16,
+        seed in 0u64..1000,
+    ) {
+        // A seeded Fisher–Yates shuffle of 0..rank.
+        let mut axes: Vec<usize> = (0..shape.len()).collect();
+        let mut r = order;
+        for i in (1..axes.len()).rev() {
+            axes.swap(i, (r % (i as u64 + 1)) as usize);
+            r /= i as u64 + 1;
+        }
+        let t = adversarial(&shape, seed);
+        let what = format!("permute {shape:?} by {axes:?}");
+        assert_bitwise_eq(&t.permute(&axes), &t.permute_serial(&axes), &what);
+    }
+}
+
+#[test]
+fn strided_walk_pins_named_broadcast_shapes() {
+    let cases: [(&[usize], &[usize]); 9] = [
+        (&[], &[]),
+        (&[], &[3, 4]),
+        (&[2, 1, 5], &[1, 3, 1]),
+        (&[4, 1, 8], &[1, 6, 1]),
+        (&[2, 8, 4, 4], &[1, 8, 1, 1]),
+        (&[2, 8, 4, 4], &[2, 8, 1, 1]),
+        (&[3, 7], &[7]),
+        (&[2, 0, 3], &[1, 1, 3]),
+        (&[0], &[1]),
+    ];
+    for (i, (sa, sb)) in cases.into_iter().enumerate() {
+        let a = adversarial(sa, 40 + i as u64);
+        let b = adversarial(sb, 60 + i as u64);
+        assert_zip_matches_oracle(&a, &b);
+        assert_zip_matches_oracle(&b, &a);
+    }
+}
+
+#[test]
+fn strided_zip_above_fanout_threshold_splits_rows_exactly() {
+    // Outputs past the elementwise threshold (64 Ki elements) with odd
+    // row lengths, so chunk starts at every thread count land mid-row
+    // and the walk must resume from a decomposed multi-index.
+    let cases: [(&[usize], &[usize]); 3] =
+        [(&[7, 97, 101], &[1, 97, 1]), (&[3, 1, 211], &[1, 113, 1]), (&[257, 263], &[263])];
+    for (i, (sa, sb)) in cases.into_iter().enumerate() {
+        let a = adversarial(sa, 80 + i as u64);
+        let b = adversarial(sb, 90 + i as u64);
+        assert_zip_matches_oracle(&a, &b);
+    }
+    let t = adversarial(&[5, 67, 3, 71], 99);
+    assert_bitwise_eq(&t.permute(&[2, 0, 3, 1]), &t.permute_serial(&[2, 0, 3, 1]), "big permute");
+}

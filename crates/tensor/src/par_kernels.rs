@@ -231,6 +231,201 @@ where
     });
 }
 
+/// Strides of a row-major `src`-shaped buffer laid over a broadcast
+/// `out` shape: right-aligned, with 0 on every axis `src` lacks or holds
+/// at size 1, so each output position maps to the source element it
+/// broadcasts from.
+pub(crate) fn broadcast_strides(src: &[usize], out: &[usize]) -> Vec<usize> {
+    let offset = out.len() - src.len();
+    let strides = crate::shape::strides_for(src);
+    (0..out.len())
+        .map(|k| if k < offset || src[k - offset] == 1 { 0 } else { strides[k - offset] })
+        .collect()
+}
+
+/// A row-major walk over an output shape that tracks, for each of `N`
+/// source operands, the flat offset of the element that lands at every
+/// output position — the source strides may be broadcast (0) or
+/// permuted. Output positions are visited in order as runs along the
+/// innermost axis, so kernels address sources by adding a stride instead
+/// of dividing the flat index by every axis length.
+pub(crate) struct StridedWalk<const N: usize> {
+    /// The output shape with size-1 axes dropped and adjacent axes merged
+    /// wherever every operand's strides allow it; never empty.
+    shape: Vec<usize>,
+    strides: [Vec<usize>; N],
+}
+
+impl<const N: usize> StridedWalk<N> {
+    /// A walk over a row-major output of `shape` whose operand `i` reads
+    /// its element at multi-index `idx` from flat offset
+    /// `Σ idx[k] * strides[i][k]`.
+    pub(crate) fn new(shape: &[usize], strides: [Vec<usize>; N]) -> Self {
+        let mut walk =
+            StridedWalk { shape: Vec::new(), strides: std::array::from_fn(|_| Vec::new()) };
+        for (k, &d) in shape.iter().enumerate() {
+            if d == 1 {
+                continue;
+            }
+            // Axis k folds into the previous kept axis p when stepping p
+            // once equals stepping k d times, for every operand.
+            let mergeable = !walk.shape.is_empty()
+                && walk.strides.iter().zip(&strides).all(|(w, s)| w.last() == Some(&(s[k] * d)));
+            if mergeable {
+                *walk.shape.last_mut().expect("non-empty") *= d;
+                for (w, s) in walk.strides.iter_mut().zip(&strides) {
+                    *w.last_mut().expect("non-empty") = s[k];
+                }
+            } else {
+                walk.shape.push(d);
+                for (w, s) in walk.strides.iter_mut().zip(&strides) {
+                    w.push(s[k]);
+                }
+            }
+        }
+        if walk.shape.is_empty() {
+            walk.shape.push(1);
+            for s in &mut walk.strides {
+                s.push(0);
+            }
+        }
+        walk
+    }
+
+    /// Number of output positions the walk covers.
+    pub(crate) fn len(&self) -> usize {
+        self.shape.iter().product()
+    }
+
+    /// Each operand's stride along the innermost walked axis.
+    pub(crate) fn inner_strides(&self) -> [usize; N] {
+        std::array::from_fn(|i| *self.strides[i].last().expect("walk rank >= 1"))
+    }
+
+    /// Calls `run(offset, bases, n)` for each innermost-axis run covering
+    /// output positions `start..start + len` in order: `offset` counts
+    /// from `start`, and the run's `j`-th element reads operand `i` at
+    /// `bases[i] + j * inner_strides()[i]`. `start` is decomposed into a
+    /// multi-index once; after that an odometer carries between axes.
+    pub(crate) fn for_runs(
+        &self,
+        start: usize,
+        len: usize,
+        mut run: impl FnMut(usize, [usize; N], usize),
+    ) {
+        // A zero-length output axis means nothing to visit; returning
+        // here also keeps the decomposition below from dividing by 0.
+        if len == 0 {
+            return;
+        }
+        let rank = self.shape.len();
+        let mut idx = vec![0usize; rank];
+        let mut rem = start;
+        for k in (0..rank).rev() {
+            idx[k] = rem % self.shape[k];
+            rem /= self.shape[k];
+        }
+        let mut base: [usize; N] =
+            std::array::from_fn(|i| idx.iter().zip(&self.strides[i]).map(|(&x, &s)| x * s).sum());
+        let inner = rank - 1;
+        let mut done = 0;
+        loop {
+            let n = (self.shape[inner] - idx[inner]).min(len - done);
+            run(done, base, n);
+            done += n;
+            if done == len {
+                return;
+            }
+            // The run reached the end of its row: rewind the innermost
+            // axis and carry one step into the outer axes.
+            for (b, s) in base.iter_mut().zip(&self.strides) {
+                *b -= idx[inner] * s[inner];
+            }
+            idx[inner] = 0;
+            for k in (0..inner).rev() {
+                idx[k] += 1;
+                for (b, s) in base.iter_mut().zip(&self.strides) {
+                    *b += s[k];
+                }
+                if idx[k] < self.shape[k] {
+                    break;
+                }
+                for (b, s) in base.iter_mut().zip(&self.strides) {
+                    *b -= self.shape[k] * s[k];
+                }
+                idx[k] = 0;
+            }
+        }
+    }
+}
+
+/// Copies `src` into a fresh buffer in the order `walk` visits it: the
+/// body of `broadcast_to` and `permute`. Runs on the calling thread; it
+/// is a plain copy with no arithmetic per element.
+pub(crate) fn gather(src: &[f32], walk: &StridedWalk<1>) -> Vec<f32> {
+    let len = walk.len();
+    let mut out = vec![0.0f32; len];
+    let [s] = walk.inner_strides();
+    walk.for_runs(0, len, |off, [i], n| {
+        let run = &mut out[off..off + n];
+        match s {
+            0 => run.fill(src[i]),
+            1 => run.copy_from_slice(&src[i..i + n]),
+            _ => {
+                for (j, o) in run.iter_mut().enumerate() {
+                    *o = src[i + j * s];
+                }
+            }
+        }
+    });
+    out
+}
+
+/// Broadcasting binary op: `out[p] = f(a[ia], b[ib])` for every output
+/// position `p` of `walk`, read straight from the operands with no
+/// broadcast copies, chunk-parallel above the elementwise threshold.
+/// Each output element is one `f` call on the same two inputs whatever
+/// the chunking, so the result is bit-identical at any thread count.
+pub(crate) fn zip_strided<F>(a: &[f32], b: &[f32], walk: &StridedWalk<2>, f: F) -> Vec<f32>
+where
+    F: Fn(f32, f32) -> f32 + Sync,
+{
+    let len = walk.len();
+    record_kernel!("tensor.elementwise.calls", "tensor.elementwise.elements", len);
+    let mut out = vec![0.0f32; len];
+    let [sa, sb] = walk.inner_strides();
+    fill_chunked(&mut out, |start, chunk| {
+        walk.for_runs(start, chunk.len(), |off, [ia, ib], n| {
+            let run = &mut chunk[off..off + n];
+            match (sa, sb) {
+                (1, 1) => {
+                    for ((o, &x), &y) in run.iter_mut().zip(&a[ia..ia + n]).zip(&b[ib..ib + n]) {
+                        *o = f(x, y);
+                    }
+                }
+                (1, 0) => {
+                    let y = b[ib];
+                    for (o, &x) in run.iter_mut().zip(&a[ia..ia + n]) {
+                        *o = f(x, y);
+                    }
+                }
+                (0, 1) => {
+                    let x = a[ia];
+                    for (o, &y) in run.iter_mut().zip(&b[ib..ib + n]) {
+                        *o = f(x, y);
+                    }
+                }
+                _ => {
+                    for (j, o) in run.iter_mut().enumerate() {
+                        *o = f(a[ia + j * sa], b[ib + j * sb]);
+                    }
+                }
+            }
+        });
+    });
+    out
+}
+
 /// Accumulates `out_row += a_row @ b` for one output row, streaming
 /// through the rows of `b` in ascending `p` (the "ikj" order). This one
 /// loop defines the accumulation order for *every* matmul-family kernel
@@ -474,23 +669,6 @@ where
             *v = f(*v);
         }
     });
-}
-
-/// Elementwise binary op over two same-length buffers, chunk-parallel
-/// above the elementwise threshold.
-pub(crate) fn zip_same<F>(a: &[f32], b: &[f32], f: F) -> Vec<f32>
-where
-    F: Fn(f32, f32) -> f32 + Sync,
-{
-    debug_assert_eq!(a.len(), b.len());
-    record_kernel!("tensor.elementwise.calls", "tensor.elementwise.elements", a.len());
-    let mut out = vec![0.0f32; a.len()];
-    fill_chunked(&mut out, |start, chunk| {
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o = f(a[start + i], b[start + i]);
-        }
-    });
-    out
 }
 
 #[cfg(test)]

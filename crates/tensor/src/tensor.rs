@@ -1,5 +1,6 @@
 //! The owned, row-major ND tensor type.
 
+use crate::par_kernels::{broadcast_strides, StridedWalk};
 use crate::shape::{
     broadcast_shapes, concat_shape, narrow_shape, numel, permute_shape, reshape_check, strides_for,
 };
@@ -248,29 +249,25 @@ impl Tensor {
 
     /// Permutes axes.
     ///
+    /// Walks the output in row-major order with each axis's source stride
+    /// permuted into place, copying whole innermost runs where the source
+    /// is contiguous.
+    ///
     /// # Panics
     ///
     /// Panics if `axes` is not a permutation of `0..rank`.
     pub fn permute(&self, axes: &[usize]) -> Self {
         let new_shape = permute_shape(&self.shape, axes).unwrap_or_else(|e| panic!("permute: {e}"));
         let old_strides = strides_for(&self.shape);
-        let new_strides = strides_for(&new_shape);
-        let mut data = vec![0.0; self.data.len()];
-        for (flat, slot) in data.iter_mut().enumerate() {
-            // Decompose flat index in new layout, recompose in old layout.
-            let mut rem = flat;
-            let mut old_flat = 0;
-            for (k, &ns) in new_strides.iter().enumerate() {
-                let idx = rem / ns;
-                rem %= ns;
-                old_flat += idx * old_strides[axes[k]];
-            }
-            *slot = self.data[old_flat];
-        }
-        Tensor { data, shape: new_shape }
+        let walk = StridedWalk::new(&new_shape, [axes.iter().map(|&a| old_strides[a]).collect()]);
+        Tensor { data: crate::par_kernels::gather(&self.data, &walk), shape: new_shape }
     }
 
     /// Materializes a broadcast of this tensor to `shape`.
+    ///
+    /// Returns a clone when the shapes are already equal; otherwise walks
+    /// the output with stride 0 on every broadcast axis, reading each
+    /// element straight from its source position.
     ///
     /// # Panics
     ///
@@ -283,24 +280,11 @@ impl Tensor {
             "tensor of shape {:?} does not broadcast to {:?}",
             self.shape, shape
         );
-        let rank = shape.len();
-        let offset = rank - self.rank();
-        let src_strides = strides_for(&self.shape);
-        let dst_strides = strides_for(shape);
-        let mut data = vec![0.0; numel(shape)];
-        for (flat, slot) in data.iter_mut().enumerate() {
-            let mut rem = flat;
-            let mut src = 0;
-            for (k, &ds) in dst_strides.iter().enumerate() {
-                let idx = rem / ds;
-                rem %= ds;
-                if k >= offset && self.shape[k - offset] != 1 {
-                    src += idx * src_strides[k - offset];
-                }
-            }
-            *slot = self.data[src];
+        if self.shape == shape {
+            return self.clone();
         }
-        Tensor { data, shape: shape.to_vec() }
+        let walk = StridedWalk::new(shape, [broadcast_strides(&self.shape, shape)]);
+        Tensor { data: crate::par_kernels::gather(&self.data, &walk), shape: shape.to_vec() }
     }
 
     /// Selects a contiguous range along an axis.
@@ -392,20 +376,29 @@ impl Tensor {
 
     /// Broadcasting binary operation (chunk-parallel for large tensors).
     ///
+    /// Neither operand is copied to the output shape: the output is
+    /// walked in row-major order with stride 0 on each operand's
+    /// broadcast axes, and every element is written as `f(a, b)` of its
+    /// two source values. That per-element `f` is the same whatever the
+    /// chunking, so the result is bit-identical at any thread count.
+    ///
     /// # Panics
     ///
     /// Panics if the shapes are not broadcast-compatible.
     pub fn zip<F: Fn(f32, f32) -> f32 + Sync>(&self, other: &Tensor, f: F) -> Self {
-        if self.shape == other.shape {
-            let data = crate::par_kernels::zip_same(&self.data, &other.data, f);
-            return Tensor { data, shape: self.shape.clone() };
-        }
         let out_shape = broadcast_shapes(&self.shape, &other.shape)
             .unwrap_or_else(|e| panic!("zip failed: {e}"));
-        let a = self.broadcast_to(&out_shape);
-        let b = other.broadcast_to(&out_shape);
-        let data = crate::par_kernels::zip_same(&a.data, &b.data, f);
-        Tensor { data, shape: out_shape }
+        let walk = StridedWalk::new(
+            &out_shape,
+            [
+                broadcast_strides(&self.shape, &out_shape),
+                broadcast_strides(&other.shape, &out_shape),
+            ],
+        );
+        Tensor {
+            data: crate::par_kernels::zip_strided(&self.data, &other.data, &walk, f),
+            shape: out_shape,
+        }
     }
 
     /// Elementwise (broadcasting) addition.
@@ -602,6 +595,75 @@ impl Tensor {
     /// Euclidean (L2) norm of all elements.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()
+    }
+
+    // ------------------------------------------------------------ oracles
+
+    /// Reference permute for the equivalence tests: decomposes every
+    /// output index with `/` and `%` by the output strides and recomposes
+    /// it in the source layout.
+    ///
+    /// Compiled for this crate's tests only, so no production caller
+    /// can reach it.
+    #[cfg(test)]
+    pub(crate) fn permute_serial(&self, axes: &[usize]) -> Self {
+        let new_shape = permute_shape(&self.shape, axes).unwrap_or_else(|e| panic!("permute: {e}"));
+        let old_strides = strides_for(&self.shape);
+        let new_strides = strides_for(&new_shape);
+        let mut data = vec![0.0; self.data.len()];
+        for (flat, slot) in data.iter_mut().enumerate() {
+            let mut rem = flat;
+            let mut old_flat = 0;
+            for (k, &ns) in new_strides.iter().enumerate() {
+                let idx = rem / ns;
+                rem %= ns;
+                old_flat += idx * old_strides[axes[k]];
+            }
+            *slot = self.data[old_flat];
+        }
+        Tensor { data, shape: new_shape }
+    }
+
+    /// Reference broadcast for the equivalence tests, addressing each
+    /// element with `/` and `%` like [`Tensor::permute_serial`].
+    /// Test-only.
+    #[cfg(test)]
+    pub(crate) fn broadcast_to_serial(&self, shape: &[usize]) -> Self {
+        let target = broadcast_shapes(&self.shape, shape)
+            .unwrap_or_else(|e| panic!("broadcast_to failed: {e}"));
+        assert_eq!(target, shape, "tensor of shape {:?} does not broadcast", self.shape);
+        let rank = shape.len();
+        let offset = rank - self.rank();
+        let src_strides = strides_for(&self.shape);
+        let dst_strides = strides_for(shape);
+        let mut data = vec![0.0; numel(shape)];
+        for (flat, slot) in data.iter_mut().enumerate() {
+            let mut rem = flat;
+            let mut src = 0;
+            for (k, &ds) in dst_strides.iter().enumerate() {
+                let idx = rem / ds;
+                rem %= ds;
+                if k >= offset && self.shape[k - offset] != 1 {
+                    src += idx * src_strides[k - offset];
+                }
+            }
+            *slot = self.data[src];
+        }
+        Tensor { data, shape: shape.to_vec() }
+    }
+
+    /// Reference zip for the equivalence tests: both operands
+    /// materialised at the output shape by
+    /// [`Tensor::broadcast_to_serial`], then combined element by element.
+    /// Test-only.
+    #[cfg(test)]
+    pub(crate) fn zip_serial<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Self {
+        let out_shape = broadcast_shapes(&self.shape, &other.shape)
+            .unwrap_or_else(|e| panic!("zip failed: {e}"));
+        let a = self.broadcast_to_serial(&out_shape);
+        let b = other.broadcast_to_serial(&out_shape);
+        let data = a.data.iter().zip(&b.data).map(|(&x, &y)| f(x, y)).collect();
+        Tensor { data, shape: out_shape }
     }
 }
 

@@ -19,7 +19,7 @@
 #                      metrics probes; plus a hostile-nesting smoke: a
 #                      line nested 50k deep gets a typed bad_request, the
 #                      next request is still served and the server drains
-#                      cleanly
+#                      cleanly; the same for a line that is not valid UTF-8
 #   6. fault smokes  — a checkpointed training run killed mid-way via
 #                      --max-steps and resumed to completion with a finite
 #                      final loss, and a serve run with an injected
@@ -152,6 +152,19 @@ echo "$deep_out" | head -c 400; echo
   || { echo "nesting smoke: the request after the deep line must be served"; exit 1; }
 grep -q '^drained: 1 served, 0 rejected' "$work/serve_deep.log" \
   || { echo "nesting smoke: expected a clean drain line"; cat "$work/serve_deep.log"; exit 1; }
+
+echo "== serving smoke: a non-UTF-8 line is rejected typed and serving continues =="
+utf8_out="$(printf '\xff\n%s\n' \
+  '{"type":"generate","id":"ci-utf8","prompt":"an aerial view of a park","seed":1}' \
+  | cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+      serve --demo --scenes 3 --workers 1 --steps 4 2>"$work/serve_utf8.log")"
+echo "$utf8_out" | head -c 400; echo
+[ "$(echo "$utf8_out" | grep -c '"reason":"bad_request"')" -eq 1 ] \
+  || { echo "utf8 smoke: expected one bad_request for the non-UTF-8 line"; exit 1; }
+[ "$(echo "$utf8_out" | grep -c '"type":"image"')" -eq 1 ] \
+  || { echo "utf8 smoke: the request after the non-UTF-8 line must be served"; exit 1; }
+grep -q '^drained: 1 served, 0 rejected' "$work/serve_utf8.log" \
+  || { echo "utf8 smoke: expected a clean drain line"; cat "$work/serve_utf8.log"; exit 1; }
 
 echo "== fault smoke: kill + resume a checkpointed training run =="
 # Kill the joint stage after its first step (checkpoint every step; the
